@@ -41,7 +41,11 @@ def facet_workload(seed: int):
 
 
 def window_workload(seed: int):
-    """(generator masks, window mask) pairs mimicking a Hochster scan."""
+    """(generator masks, window mask) pairs mimicking a Hochster scan.
+
+    The scan sends a window to the kernel only when it is the union of the
+    generators inside it, so random windows are kept only when they are.
+    """
     rng = random.Random(seed)
     cases = []
     for n in (10, 12, 14, 16):
@@ -52,11 +56,18 @@ def window_workload(seed: int):
                 m |= 1 << v
             if m not in gens:
                 gens.append(m)
-        for _ in range(40):
+        kept = 0
+        while kept < 40:
             w = 0
             for v in rng.sample(range(n), rng.randint(4, min(9, n))):
                 w |= 1 << v
-            cases.append((gens, w))
+            cover = 0
+            for g in gens:
+                if not g & ~w:
+                    cover |= g
+            if cover == w:
+                cases.append((gens, w))
+                kept += 1
     return cases
 
 

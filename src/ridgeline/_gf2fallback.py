@@ -7,6 +7,9 @@ cardinality p (the empty face included at p = 0) and ``ranks[p]`` is the
 GF(2) rank of the boundary map from cardinality-p faces to cardinality-(p-1)
 faces. The p = 1 map sends vertices to the empty face, so downstream
 homology is automatically reduced. Both lists have length n + 2.
+
+The face-indicator builders are shared with the rational rank routine in
+``algebra``, so the two coefficient fields differ only in the rank step.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ def _ranks_from_faces(face: bytearray, n: int):
     return fvec, ranks
 
 
-def ranks_of_facet_complex(facet_masks, n: int):
-    """f-vector and boundary ranks of the complex generated by facet masks."""
+def facet_indicator(facet_masks, n: int) -> bytearray:
+    """Indicator over the 2**n bitmasks of the faces of the complex
+    generated by the facet masks."""
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"bit count {n} outside 0..{MAX_BITS}")
     total = 1 << n
@@ -66,16 +70,16 @@ def ranks_of_facet_complex(facet_masks, n: int):
             if sub == 0:
                 break
             sub = (sub - 1) & fm
-    return _ranks_from_faces(face, n)
+    return face
 
 
-def ranks_of_nonface_complex(gen_masks, w_mask: int):
-    """f-vector and boundary ranks of the restriction to W of the complex
-    whose non-faces are the sets containing some generator mask.
+def nonface_indicator(gen_masks, w_mask: int):
+    """Indicator of the restriction to W of the complex whose non-faces are
+    the sets containing some generator mask, as ``(face, n)``.
 
     Faces are the subsets of ``w_mask`` containing no generator; generators
     not contained in ``w_mask`` cannot occur inside such a subset and are
-    ignored. Masks are compressed onto the bits of ``w_mask``.
+    ignored. Masks are compressed onto the n bits of ``w_mask``.
     """
     n = w_mask.bit_count()
     if n > MAX_BITS:
@@ -106,4 +110,15 @@ def ranks_of_nonface_complex(gen_masks, w_mask: int):
             if sub == 0:
                 break
             sub = (sub - 1) & sup
-    return _ranks_from_faces(face, n)
+    return face, n
+
+
+def ranks_of_facet_complex(facet_masks, n: int):
+    """f-vector and boundary ranks of the complex generated by facet masks."""
+    return _ranks_from_faces(facet_indicator(facet_masks, n), n)
+
+
+def ranks_of_nonface_complex(gen_masks, w_mask: int):
+    """f-vector and boundary ranks of the restriction to W of the complex
+    whose non-faces are the sets containing some generator mask."""
+    return _ranks_from_faces(*nonface_indicator(gen_masks, w_mask))

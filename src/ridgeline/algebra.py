@@ -3,9 +3,13 @@
 The central computation is a subset scan: the graded Betti number of S/I in
 homological index i and multidegree W equals the rank of reduced homology in
 dimension |W|-i-1 of the restriction to W of the complex whose non-faces are
-the sets containing a generator of I. Ranks come from boundary-matrix ranks,
-over GF(2) through the selected kernel (compiled or pure) and over the
-rationals through exact fraction-free integer elimination.
+the sets containing a generator of I. Only a W that is the union of the
+generators inside it (an element of the lcm lattice) can contribute; any
+other W has a cone point, so one scan serves the whole table and single
+degrees and skips such W before any rank is taken. Ranks come from
+boundary-matrix ranks, over GF(2) through the selected kernel (compiled or
+pure) and over the rationals through exact fraction-free integer
+elimination.
 
 On top of the table sit regularity, linear resolutions, linear quotients,
 the dual criterion for Cohen-Macaulayness, the chordal-complement test for
@@ -21,6 +25,7 @@ from itertools import combinations
 from math import gcd
 
 from . import kernels
+from ._gf2fallback import facet_indicator, nonface_indicator
 from .complexes import (
     AMBIENT_CAP,
     SimplicialComplex,
@@ -147,6 +152,18 @@ def _int_rank(rows, ncols: int) -> int:
     return rank
 
 
+def _bitmasks(faces, verts) -> list:
+    """Each face as a bitmask over the positions of ``verts``."""
+    pos = {v: k for k, v in enumerate(verts)}
+    masks = []
+    for f in faces:
+        m = 0
+        for v in f:
+            m |= 1 << pos[v]
+        masks.append(m)
+    return masks
+
+
 def _rational_ranks(face: bytearray, n: int):
     """Same contract as the GF(2) kernels, but over the rationals: f-vector
     and boundary ranks (vertices map to the empty face with sign +1)."""
@@ -180,50 +197,6 @@ def _rational_ranks(face: bytearray, n: int):
     return fvec, ranks
 
 
-def _facet_indicator(facet_masks, n: int) -> bytearray:
-    face = bytearray(1 << n)
-    for fm in facet_masks:
-        sub = fm
-        while True:
-            face[sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & fm
-    return face
-
-
-def _nonface_indicator(gen_masks, w_mask: int):
-    """Compressed indicator of the restriction to W; returns (face, bits)."""
-    n = w_mask.bit_count()
-    amb2c = {}
-    rest = w_mask
-    c = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        amb2c[low] = c
-        c += 1
-    total = 1 << n
-    face = bytearray(1 for _ in range(total))
-    for gm in gen_masks:
-        if gm & ~w_mask:
-            continue
-        cg = 0
-        g = gm
-        while g:
-            low = g & -g
-            g ^= low
-            cg |= 1 << amb2c[low]
-        sup = (total - 1) ^ cg
-        sub = sup
-        while True:
-            face[cg | sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & sup
-    return face, n
-
-
 def _homology_from_ranks(fvec, ranks, top: int):
     """Reduced homology ranks in dimensions -1..top from kernel output."""
     out = []
@@ -251,17 +224,11 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=FieldChoice.GF2) -> list
     n = len(verts)
     if n > AMBIENT_CAP:
         raise BudgetExceeded(f"homology face scan capped at {AMBIENT_CAP} support vertices")
-    pos = {v: i for i, v in enumerate(verts)}
-    masks = []
-    for f in cx.facets:
-        m = 0
-        for v in f:
-            m |= 1 << pos[v]
-        masks.append(m)
+    masks = _bitmasks(cx.facets, verts)
     if field is FieldChoice.GF2:
         fvec, ranks = kernels.ranks_of_facet_complex(masks, n)
     else:
-        fvec, ranks = _rational_ranks(_facet_indicator(masks, n), n)
+        fvec, ranks = _rational_ranks(facet_indicator(masks, n), n)
     return _homology_from_ranks(fvec, ranks, dimension(cx))
 
 
@@ -280,34 +247,49 @@ class BettiTable:
         return max((i for (i, _), _ in self.entries), default=0)
 
 
-@lru_cache(maxsize=65536)
-def _betti_entries(ideal: MonomialIdeal, field: FieldChoice, cap: int) -> tuple:
+def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, cap: int, size=None):
+    """Reduced homology of the restriction to each window W of the generator
+    support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
+
+    Only windows of ``size`` vertices are scanned when it is given. A window
+    that is not the union of the generators inside it is skipped: a vertex of
+    W in none of them is a cone point, so the restriction is acyclic
+    (Gasharov-Peeva-Welker, the lcm lattice).
+    """
     if len(ideal.ambient) > cap:
         raise BudgetExceeded(f"Betti scan capped at {cap} ambient variables")
     supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
     s = len(supp)
-    pos = {v: i for i, v in enumerate(supp)}
-    gen_masks = []
-    for g in ideal.generators:
-        m = 0
-        for v in g:
-            m |= 1 << pos[v]
-        gen_masks.append(m)
-    entries: dict = {}
-    for w_mask in range(1, 1 << s):
-        j = w_mask.bit_count()
+    gen_masks = _bitmasks(ideal.generators, supp)
+    if size is None:
+        windows = range(1, 1 << s)
+    else:
+        windows = map(sum, combinations([1 << b for b in range(s)], size))
+    for w_mask in windows:
+        cover = 0
+        for gm in gen_masks:
+            if not gm & ~w_mask:
+                cover |= gm
+        if cover != w_mask:
+            continue
         if field is FieldChoice.GF2:
             fvec, ranks = kernels.ranks_of_nonface_complex(gen_masks, w_mask)
         else:
-            face, bits = _nonface_indicator(gen_masks, w_mask)
-            fvec, ranks = _rational_ranks(face, bits)
-        for t in range(-1, j):
-            h = fvec[t + 1] - ranks[t + 1] - ranks[t + 2]
-            if h < 0:
-                raise RidgelineError("negative homology rank: kernel inconsistency")
-            i = j - t - 1
-            if h and i >= 1:
-                entries[(i, j)] = entries.get((i, j), 0) + h
+            fvec, ranks = _rational_ranks(*nonface_indicator(gen_masks, w_mask))
+        j = w_mask.bit_count()
+        hom = [fvec[p] - ranks[p] - ranks[p + 1] for p in range(j + 1)]
+        if min(hom) < 0:
+            raise RidgelineError("negative homology rank: kernel inconsistency")
+        yield j, hom
+
+
+@lru_cache(maxsize=65536)
+def _betti_entries(ideal: MonomialIdeal, field: FieldChoice, cap: int) -> tuple:
+    entries: dict = {}
+    for j, hom in _hochster_scan(ideal, field, cap):
+        for i in range(1, j + 1):
+            if hom[j - i]:
+                entries[(i, j)] = entries.get((i, j), 0) + hom[j - i]
     gen_total = sum(rank for (i, _), rank in entries.items() if i == 1)
     if gen_total != len(ideal.generators):
         raise RidgelineError("first syzygies disagree with the generator count")
@@ -317,8 +299,9 @@ def _betti_entries(ideal: MonomialIdeal, field: FieldChoice, cap: int) -> tuple:
 def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2, cap: int = AMBIENT_CAP) -> BettiTable:
     """Full graded Betti table of S/I by scanning vertex subsets.
 
-    Subsets outside the union of generator supports restrict to cones and
-    are skipped; the implicit beta_{0,0} = 1 is not stored.
+    Only windows that are the union of the generators they contain (the
+    lcm lattice) can carry homology, so only those are sent to a rank
+    routine; the implicit beta_{0,0} = 1 is not stored.
     """
     field = _field(field)
     return BettiTable(_betti_entries(ideal, field, cap), field)
@@ -343,35 +326,7 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2,
         return 1 if j == 0 else 0
     if i < 0 or j < i:
         return 0
-    if len(ideal.ambient) > cap:
-        raise BudgetExceeded(f"Betti scan capped at {cap} ambient variables")
-    supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
-    s = len(supp)
-    if j > s:
-        return 0
-    pos = {v: i2 for i2, v in enumerate(supp)}
-    gen_masks = []
-    for g in ideal.generators:
-        m = 0
-        for v in g:
-            m |= 1 << pos[v]
-        gen_masks.append(m)
-    t = j - i - 1
-    total = 0
-    for window in combinations(range(s), j):
-        w_mask = 0
-        for b in window:
-            w_mask |= 1 << b
-        if field is FieldChoice.GF2:
-            fvec, ranks = kernels.ranks_of_nonface_complex(gen_masks, w_mask)
-        else:
-            face, bits = _nonface_indicator(gen_masks, w_mask)
-            fvec, ranks = _rational_ranks(face, bits)
-        h = fvec[t + 1] - ranks[t + 1] - ranks[t + 2]
-        if h < 0:
-            raise RidgelineError("negative homology rank: kernel inconsistency")
-        total += h
-    return total
+    return sum(hom[j - i] for _, hom in _hochster_scan(ideal, field, cap, j))
 
 
 def regularity(ideal: MonomialIdeal, field=FieldChoice.GF2) -> int:

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import beta, betti_table, facet_ideal
+from .algebra import beta_in_degree, betti_table, facet_ideal
 from .errors import BudgetExceeded, RidgelineError
 from .harness import (
     analyze,
@@ -130,7 +130,7 @@ def _cmd_betti(args) -> int:
         rows = [[i, j, rank] for (i, j), rank in table.entries]
         sys.stdout.write(json.dumps({"field": args.field, "entries": rows}) + "\n")
         return 0
-    sys.stdout.write(f"{beta(ideal, args.i, args.j, args.field)}\n")
+    sys.stdout.write(f"{beta_in_degree(ideal, args.i, args.j, args.field)}\n")
     return 0
 
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's algorithms: homology ranks
 come from sympy exact linear algebra over explicitly assembled boundary
 matrices, Betti numbers from the subset-restriction formula evaluated the
-naive way, shellability and linear quotients from permutation search against
-the textbook conditions, and graph chordality from induced-cycle search.
+naive way (and beta_{2,d+1} of a pure facet ideal also in closed form by
+counting facets), shellability and linear quotients from permutation search
+against the textbook conditions, and graph chordality from induced-cycle
+search.
 Slow on purpose; use only at unit-test scale.
 """
 
@@ -84,6 +86,22 @@ def oracle_beta(generators, ambient, i, j, field="gf2"):
         t = j - i - 1
         if -1 <= t <= len(hom) - 2:
             total += hom[t + 1]
+    return total
+
+
+def oracle_beta2_closed_form(facets, vertices):
+    """beta_{2,d+1} of the facet ideal of a pure complex with facets of size
+    d, in closed form: the sum over (d+1)-sets W of max(k_W - 1, 0), where
+    k_W counts the facets inside W. The restriction to such a W is the
+    boundary of the simplex on W minus k_W of its facets, a wedge of k_W - 1
+    spheres of dimension d - 2 when k_W >= 1, so the value is field-free."""
+    facets = [frozenset(f) for f in facets]
+    d = len(facets[0])
+    total = 0
+    for W in combinations(sorted(vertices), d + 1):
+        ws = frozenset(W)
+        k = sum(1 for f in facets if f <= ws)
+        total += max(k - 1, 0)
     return total
 
 

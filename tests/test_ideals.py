@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import ridgeline as rl
 from oracles import (
     oracle_beta,
+    oracle_beta2_closed_form,
     oracle_is_cm_reisner,
     oracle_linear_quotients,
 )
@@ -86,6 +87,95 @@ def test_beta_in_degree_matches_beta():
         for i in range(0, 5):
             for j in range(0, 6):
                 assert rl.beta_in_degree(I, i, j, field) == rl.beta(I, i, j, field)
+
+
+def _assert_every_entry_matches_oracle(I):
+    """Every (i, j), through the table and through the single-degree scan,
+    against the naive oracle in both fields."""
+    gens, ambient = I.generators, I.ambient
+    for field, of in (("gf2", "gf2"), ("rational", "rat")):
+        for i in range(0, len(ambient) + 2):
+            for j in range(0, len(ambient) + 2):
+                expected = oracle_beta(gens, ambient, i, j, of)
+                assert rl.beta(I, i, j, field) == expected, (gens, ambient, field, i, j)
+                assert rl.beta_in_degree(I, i, j, field) == expected, (gens, ambient, field, i, j)
+
+
+def test_pruned_scan_mixed_degrees_and_free_variables():
+    # windows that are not unions of the generators inside them are skipped:
+    # mixed generator degrees and variables in no generator make such windows
+    cases = [
+        ([[1, 2]], [1, 2, 3]),
+        ([[1, 2], [3]], [1, 2, 3, 4]),
+        ([[1], [2, 3], [3, 4, 5]], None),
+        ([[1, 2], [2, 3, 4], [4, 5]], [1, 2, 3, 4, 5, 6]),
+        ([[1, 2, 3], [3, 4], [1, 4]], None),
+    ]
+    for gens, ambient in cases:
+        _assert_every_entry_matches_oracle(rl.monomial_ideal(gens, ambient))
+
+
+def test_pruned_scan_stanley_reisner_of_nonpure_complexes():
+    import random
+
+    rng = random.Random(11)
+    for _ in range(6):
+        n = rng.randint(3, 5)
+        faces = [rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+                 for _ in range(rng.randint(1, 4))]
+        cx = rl.from_facets(faces, ambient=range(1, n + 1))
+        I = rl.stanley_reisner_ideal(cx)
+        _assert_every_entry_matches_oracle(I)
+
+
+@st.composite
+def _relabelled_ideals(draw):
+    """An antichain ideal on {1..n}, and the same ideal with its vertices
+    permuted and its generators in another order."""
+    n = draw(st.integers(1, 6))
+    subsets = st.frozensets(st.integers(1, n), min_size=1, max_size=n)
+    drawn = draw(st.lists(subsets, max_size=6, unique=True))
+    gens = [g for g in drawn if not any(h < g for h in drawn)]
+    perm = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    moved = [tuple(sorted(perm[v] for v in g)) for g in draw(st.permutations(gens))]
+    original = rl.monomial_ideal(gens, ambient=range(1, n + 1))
+    return original, rl.MonomialIdeal(original.ambient, tuple(moved))
+
+
+@given(_relabelled_ideals())
+@settings(max_examples=60, deadline=None)
+def test_property_table_invariant_under_relabelling(pair):
+    original, moved = pair
+    for field in ("gf2", "rational"):
+        assert rl.betti_table(moved, field).entries == rl.betti_table(original, field).entries
+
+
+def _closed_form_agrees(cx):
+    d = len(cx.facets[0])
+    expected = oracle_beta2_closed_form(cx.facets, cx.ambient)
+    I = rl.facet_ideal(cx)
+    return all(rl.beta_in_degree(I, 2, d + 1, field) == expected
+               for field in ("gf2", "rational"))
+
+
+def test_beta2_closed_form_exhaustive():
+    from itertools import combinations
+
+    pool = list(combinations(range(1, 6), 3))
+    for r in range(1, 5):
+        for family in combinations(pool, r):
+            cx = rl.from_facets(family)
+            assert _closed_form_agrees(cx), family
+
+
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(1, 8), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_property_beta2_closed_form(n, d, r, seed):
+    from math import comb
+
+    d = min(d, n)
+    r = min(r, comb(n, d))
+    assert _closed_form_agrees(rl.random_pure_complex(n, d, r, seed))
 
 
 def test_linear_resolution_examples():

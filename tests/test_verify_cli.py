@@ -116,6 +116,22 @@ def test_cli_betti_and_linegraph(tmp_path, capsys):
     assert doc["edge_count"] == 3
 
 
+def test_cli_betti_degree_matches_table_entry(tmp_path, capsys):
+    f = tmp_path / "c.txt"
+    f.write_text("1 2 3\n2 3 4\n3 4 5\n1 4 5\n")
+    for field in ("gf2", "rat"):
+        assert main(["betti", str(f), "--i", "1", "--j", "1", "--table", "--field", field]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert entries
+        for i, j, rank in entries:
+            assert main(["betti", str(f), "--i", str(i), "--j", str(j), "--field", field]) == 0
+            assert capsys.readouterr().out.strip() == str(rank)
+        # beta_{0,0} = 1 is implicit in the table; j = 9 lies beyond the support
+        for i, j, expected in ((0, 0, "1"), (0, 3, "0"), (2, 9, "0")):
+            assert main(["betti", str(f), "--i", str(i), "--j", str(j), "--field", field]) == 0
+            assert capsys.readouterr().out.strip() == expected
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--theorem", "deltac", "--random", "7,3,4,30",
