@@ -93,7 +93,7 @@ def nonface_indicator(gen_masks, w_mask: int):
         amb2c[low] = c
         c += 1
     total = 1 << n
-    face = bytearray(1 for _ in range(total))
+    face = bytearray(b"\x01") * total
     for gm in gen_masks:
         if gm & ~w_mask:
             continue

@@ -13,6 +13,7 @@ deletions, contractions and duals, and all operations here accept them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -46,10 +47,13 @@ def as_face(vertices: Iterable[int]) -> Face:
 def _maximal(faces: Iterable[Face]) -> tuple:
     """Drop duplicate faces and faces contained in another face."""
     uniq = sorted(set(faces), key=len)
+    sets = [set(f) for f in uniq]
+    sizes = [len(f) for f in uniq]
     keep = []
     for pos, f in enumerate(uniq):
-        fs = set(f)
-        if not any(fs < set(g) for g in uniq[pos + 1:]):
+        fs = sets[pos]
+        # only a strictly larger face can contain f
+        if not any(fs <= g for g in sets[bisect_right(sizes, sizes[pos]):]):
             keep.append(f)
     return tuple(sorted(keep))
 
@@ -236,11 +240,38 @@ def contraction(cx: SimplicialComplex, v: int) -> SimplicialComplex:
     return SimplicialComplex(ambient, _maximal(stripped))
 
 
-def is_free_vertex(cx: SimplicialComplex, v: int) -> bool:
-    """Whether v lies in exactly one facet."""
+def _free_bit(masks, bit: int) -> bool:
+    """Whether exactly one facet mask contains ``bit``."""
+    return sum(1 for m in masks if m & bit) == 1
+
+
+def _simplicial_bit(masks, bit: int) -> bool:
+    """Whether every two facet masks through ``bit`` have a third facet mask
+    inside their union without ``bit``. Only a facet avoiding ``bit`` can lie
+    there, so the third facet is sought among those.
+    """
+    through = [m for m in masks if m & bit]
+    if len(through) <= 1:
+        return True
+    others = [m for m in masks if not m & bit]
+    for pos, m1 in enumerate(through):
+        for m2 in through[pos + 1:]:
+            allowed = (m1 | m2) ^ bit
+            if not any(m3 & allowed == m3 for m3 in others):
+                return False
+    return True
+
+
+def _vertex_bit(cx: SimplicialComplex, v: int):
+    """The facet masks over the ambient and the bit of v."""
     if v not in cx.ambient:
         raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    return sum(1 for f in cx.facets if v in f) == 1
+    return [_mask_of(f, cx.ambient) for f in cx.facets], 1 << cx.ambient.index(v)
+
+
+def is_free_vertex(cx: SimplicialComplex, v: int) -> bool:
+    """Whether v lies in exactly one facet."""
+    return _free_bit(*_vertex_bit(cx, v))
 
 
 def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
@@ -248,67 +279,91 @@ def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
     their union with v removed. A vertex in at most one facet qualifies
     vacuously, so free vertices are always simplicial.
     """
-    if v not in cx.ambient:
-        raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    through = [set(f) for f in cx.facets if v in f]
-    if len(through) <= 1:
-        return True
-    others = [set(f) for f in cx.facets]
-    for f1, f2 in combinations(through, 2):
-        allowed = (f1 | f2) - {v}
-        if not any(f3 <= allowed for f3 in others):
-            return False
-    return True
+    return _simplicial_bit(*_vertex_bit(cx, v))
 
 
 def simplicial_vertices(cx: SimplicialComplex) -> tuple:
-    return tuple(v for v in cx.support if is_simplicial_vertex(cx, v))
+    amb = cx.ambient
+    masks = [_mask_of(f, amb) for f in cx.facets]
+    return tuple(v for v in cx.support if _simplicial_bit(masks, 1 << amb.index(v)))
 
 
-def _minor_chase(cx: SimplicialComplex, keeps_vertex, budget: int | None) -> bool:
+def _contract(masks: frozenset, kept: list, bit: int) -> frozenset:
+    """Facet masks of the contraction at ``bit``, given the masks ``kept``
+    that avoid it: strip the bit from the others and drop a stripped face
+    lying inside a kept facet. The masks form an antichain, so two stripped
+    faces never nest and a kept facet never lies inside a stripped face.
+    """
+    out = set(kept)
+    for m in masks:
+        if m & bit:
+            s = m ^ bit
+            for g in kept:
+                if s & g == s:
+                    break
+            else:
+                out.add(s)
+    return frozenset(out)
+
+
+def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
     """Shared recursion: does every minor keep a vertex with the given property?
 
-    Minors are generated by deletions and contractions at support vertices;
-    ambient vertices outside the support touch no facet and are dropped by any
-    minor anyway. Complexes with at most one facet pass as base cases.
+    A minor is the frozenset of its facet bitmasks, bit i standing for the
+    i-th smallest support vertex of the input; the facets must form an
+    antichain. Minors come from deletions (the masks avoiding a bit) and
+    contractions (``_contract``) at the support bits in ascending order, the
+    deletion first; ambient vertices outside the support touch no facet and
+    are dropped by any minor anyway. The memo is keyed by the frozenset, which
+    determines the canonical facet tuple and back, and each new state spends
+    one budget step after the memo misses. Families with at most one facet
+    pass as base cases.
     """
-    b = Budget(budget)
+    spend = Budget(budget).spend
     memo: dict = {}
 
-    def good(facets: tuple) -> bool:
-        if len(facets) <= 1:
+    def good(masks: frozenset) -> bool:
+        if len(masks) <= 1:
             return True
-        hit = memo.get(facets)
+        hit = memo.get(masks)
         if hit is not None:
             return hit
-        b.spend()
-        support = sorted(set().union(*map(set, facets)))
-        state = SimplicialComplex(tuple(support), facets)
-        ok = any(keeps_vertex(state, v) for v in support)
+        spend()
+        union = 0
+        for m in masks:
+            union |= m
+        bits = []
+        while union:
+            low = union & -union
+            bits.append(low)
+            union ^= low
+        ok = any(keeps_bit(masks, bit) for bit in bits)
         if ok:
-            for v in support:
-                if not good(deletion(state, v).facets) or not good(contraction(state, v).facets):
+            for bit in bits:
+                kept = [m for m in masks if not m & bit]
+                if not good(frozenset(kept)) or not good(_contract(masks, kept, bit)):
                     ok = False
                     break
-        memo[facets] = ok
+        memo[masks] = ok
         return ok
 
-    return good(cx.facets)
+    support = cx.support
+    return good(frozenset(_mask_of(f, support) for f in cx.facets))
 
 
 def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
     """Whether every minor of the complex has a simplicial vertex.
 
-    Empty and single-facet complexes count as chordal base cases. The memo
-    key is the canonical facet tuple; each new minor state spends one budget
-    step.
+    Empty and single-facet complexes count as chordal base cases. The chase
+    state and memo key is the frozenset of facet bitmasks over the support;
+    each new minor state spends one budget step.
     """
-    return _minor_chase(cx, is_simplicial_vertex, budget)
+    return _minor_chase(cx, _simplicial_bit, budget)
 
 
 def has_free_vertex_property(cx: SimplicialComplex, budget: int | None = None) -> bool:
     """Whether every minor has a free vertex (a stronger form of chordality)."""
-    return _minor_chase(cx, is_free_vertex, budget)
+    return _minor_chase(cx, _free_bit, budget)
 
 
 def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
@@ -422,7 +477,7 @@ def independence_complex(cl: Clutter) -> SimplicialComplex:
         raise BudgetExceeded(f"independence_complex scans subsets; capped at {AMBIENT_CAP} vertices")
     circuit_masks = [_mask_of(c, amb) for c in cl.circuits]
     total = 1 << n
-    independent = bytearray(1 for _ in range(total))
+    independent = bytearray(b"\x01") * total
     for cm in circuit_masks:
         # mark every superset of the circuit dependent
         rest = (total - 1) ^ cm

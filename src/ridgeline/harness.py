@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -173,9 +174,29 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     top = comb(n, d)
     if not 1 <= r <= top:
         raise BadParameters(f"need 1 <= r <= C({n},{d}) = {top}, got r={r}")
+    if top > sys.maxsize:
+        raise BadParameters(f"C({n},{d}) = {top} d-subsets are too many to index")
     rng = random.Random(seed)
-    pool = list(combinations(range(1, n + 1), d))
-    return from_facets(rng.sample(pool, r), ambient=range(1, n + 1))
+    # sampling indices draws exactly what sampling the list of all d-subsets
+    # in lexicographic order would, without building that list
+    picks = [_unrank_subset(k, n, d) for k in rng.sample(range(top), r)]
+    return from_facets(picks, ambient=range(1, n + 1))
+
+
+def _unrank_subset(k: int, n: int, d: int) -> tuple:
+    """The k-th d-subset of {1..n} in lexicographic order, counting from 0."""
+    out = []
+    v = 1
+    while d:
+        # d-subsets of {v..n} that start with v
+        first = comb(n - v, d - 1)
+        if k < first:
+            out.append(v)
+            d -= 1
+        else:
+            k -= first
+        v += 1
+    return tuple(out)
 
 
 def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = None):

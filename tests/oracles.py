@@ -6,7 +6,8 @@ matrices, Betti numbers from the subset-restriction formula evaluated the
 naive way (and beta_{2,d+1} of a pure facet ideal also in closed form by
 counting facets), shellability and linear quotients from permutation search
 against the textbook conditions, and graph chordality from induced-cycle
-search.
+search, and the chordal minor chase from deletions and contractions of
+explicit facet tuples.
 Slow on purpose; use only at unit-test scale.
 """
 
@@ -177,6 +178,74 @@ def oracle_is_cm_reisner(facets, field="gf2"):
         if any(hom[p + 1] != 0 for p in range(-1, link_dim)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# minors: simplicial and free vertices, the minor chase
+
+def oracle_is_simplicial(facets, v):
+    """Every two facets through v have a third facet inside their union
+    with v removed (vacuous when v lies in at most one facet)."""
+    through = [set(f) for f in facets if v in f]
+    if len(through) <= 1:
+        return True
+    others = [set(f) for f in facets]
+    for f1, f2 in combinations(through, 2):
+        allowed = (f1 | f2) - {v}
+        if not any(f3 <= allowed for f3 in others):
+            return False
+    return True
+
+
+def oracle_is_free(facets, v):
+    return sum(1 for f in facets if v in f) == 1
+
+
+class OracleBudgetExceeded(Exception):
+    """The oracle chase spent more steps than its limit."""
+
+
+def _maximal_faces(faces):
+    uniq = set(faces)
+    return tuple(sorted(f for f in uniq if not any(set(f) < set(g) for g in uniq)))
+
+
+def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
+    """Whether every deletion and contraction minor has a vertex passing
+    ``keeps``, as ``(verdict, steps)``.
+
+    States are canonical facet tuples, memoized; families of at most one
+    facet pass. Each new state counts one step after the memo misses, and the
+    step past ``limit`` raises OracleBudgetExceeded. Vertices go in ascending
+    order, the property test before any recursion, the deletion before the
+    contraction at each vertex.
+    """
+    memo = {}
+    steps = 0
+
+    def good(state):
+        nonlocal steps
+        if len(state) <= 1:
+            return True
+        if state in memo:
+            return memo[state]
+        steps += 1
+        if limit is not None and steps > limit:
+            raise OracleBudgetExceeded(steps)
+        support = sorted(set().union(*map(set, state)))
+        ok = any(keeps(state, v) for v in support)
+        if ok:
+            for v in support:
+                dele = tuple(f for f in state if v not in f)
+                if not good(dele) or not good(
+                        _maximal_faces(tuple(u for u in f if u != v) for f in state)):
+                    ok = False
+                    break
+        memo[state] = ok
+        return ok
+
+    verdict = good(tuple(sorted(tuple(sorted(f)) for f in facets)))
+    return verdict, steps
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
-from oracles import oracle_is_shellable, oracle_minimal_nonfaces
+from oracles import (
+    OracleBudgetExceeded,
+    oracle_is_free,
+    oracle_is_shellable,
+    oracle_is_simplicial,
+    oracle_minimal_nonfaces,
+    oracle_minor_chase,
+)
+from ridgeline.errors import Budget
 
 CHAIN5 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]
 GAMMA = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)]
@@ -24,6 +32,11 @@ def test_from_facets_basics():
 def test_from_facets_maximalizes():
     cx = rl.from_facets([[1, 2], [1], [1, 2, 3]])
     assert cx.facets == ((1, 2, 3),)
+    # mixed sizes with duplicates: equal-size faces never absorb each other
+    cx = rl.from_facets([[3, 4], [1, 2], [4, 3], [2, 1], [5], [1, 2, 5], [2, 5], [6], [6]])
+    assert cx.facets == ((1, 2, 5), (3, 4), (6,))
+    cx = rl.from_facets([[1, 2, 3], [3, 2, 1], [2, 3, 4], [1, 4], [4, 5], [1, 2, 3, 4]])
+    assert cx.facets == ((1, 2, 3, 4), (4, 5))
 
 
 def test_from_facets_errors():
@@ -123,6 +136,70 @@ def test_chordal_complex_examples():
     # v sits inside the union-minus-v of any two facets through v
     assert rl.is_chordal_complex(
         rl.from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]))
+
+
+CHASES = ((rl.is_chordal_complex, oracle_is_simplicial),
+          (rl.has_free_vertex_property, oracle_is_free))
+
+
+def _chase_and_steps(chase, cx, budget=None):
+    """(verdict, Budget.spend calls), the verdict "exceeded" on BudgetExceeded."""
+    steps = 0
+    spend = Budget.spend
+
+    def counting(self, amount=1):
+        nonlocal steps
+        steps += 1
+        return spend(self, amount)
+
+    Budget.spend = counting
+    try:
+        return chase(cx, budget), steps
+    except rl.BudgetExceeded:
+        return "exceeded", steps
+    finally:
+        Budget.spend = spend
+
+
+def _oracle_chase(facets, keeps, limit=None):
+    try:
+        return oracle_minor_chase(facets, keeps, limit)
+    except OracleBudgetExceeded as exc:
+        return "exceeded", exc.args[0]
+
+
+def _assert_chases_match_oracle(cx):
+    for chase, keeps in CHASES:
+        verdict, steps = _oracle_chase(cx.facets, keeps)
+        assert _chase_and_steps(chase, cx) == (verdict, steps), (chase.__name__, cx)
+        for limit in {lim for lim in (1, steps // 2, steps - 1, steps) if lim >= 1}:
+            assert (_chase_and_steps(chase, cx, limit)
+                    == _oracle_chase(cx.facets, keeps, limit)), (chase.__name__, limit, cx)
+    for v in cx.ambient:
+        assert rl.is_simplicial_vertex(cx, v) == oracle_is_simplicial(cx.facets, v), (v, cx)
+        assert rl.is_free_vertex(cx, v) == oracle_is_free(cx.facets, v), (v, cx)
+
+
+def test_minor_chase_matches_oracle_exhaustive():
+    for cx in rl.enumerate_pure_complexes(5, 3, 5):
+        _assert_chases_match_oracle(cx)
+
+
+@given(st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=5), min_size=1, max_size=7),
+       st.integers(0, 2))
+@settings(max_examples=120, deadline=None)
+def test_minor_chase_matches_oracle_nonpure(family, extra):
+    support = set().union(*family)
+    cx = rl.from_facets(family, ambient=support | set(range(8, 8 + extra)))
+    _assert_chases_match_oracle(cx)
+
+
+def test_vertex_tests_reject_unknown_vertices():
+    cx = rl.from_facets([[1, 2], [2, 3]], ambient=[1, 2, 3, 4])
+    assert rl.is_simplicial_vertex(cx, 4) and not rl.is_free_vertex(cx, 4)
+    for test in (rl.is_simplicial_vertex, rl.is_free_vertex):
+        with pytest.raises(rl.UnknownVertex):
+            test(cx, 5)
 
 
 def test_shellable_matches_textbook_oracle_exhaustive():

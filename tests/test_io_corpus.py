@@ -60,6 +60,30 @@ def test_random_pure_complex_determinism_and_shape():
         rl.random_pure_complex(4, 3, 5, 0)  # only C(4,3)=4 facets exist
 
 
+def test_random_pure_complex_matches_pool_draw():
+    import random
+    from itertools import combinations
+
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            top = comb(n, d)
+            for r in sorted({1, (top + 1) // 2, top}):
+                for seed in (0, 41):
+                    pool = list(combinations(range(1, n + 1), d))
+                    drawn = random.Random(seed).sample(pool, r)
+                    expect = rl.from_facets(drawn, ambient=range(1, n + 1))
+                    assert rl.random_pure_complex(n, d, r, seed) == expect, (n, d, r, seed)
+
+
+def test_random_pure_complex_huge_pool():
+    # C(40, 20) is about 1.4e11 facets; only the three drawn are built
+    cx = rl.random_pure_complex(40, 20, 3, 1)
+    assert cx.facet_count == 3 and rl.facet_size(cx) == 20
+    assert cx.ambient == tuple(range(1, 41))
+    with pytest.raises(rl.BadParameters):
+        rl.random_pure_complex(200, 100, 3, 1)
+
+
 def test_enumerate_pure_complexes_count_and_order():
     out = list(rl.enumerate_pure_complexes(4, 2, 2))
     assert len(out) == comb(6, 1) + comb(6, 2)
