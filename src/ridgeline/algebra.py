@@ -29,6 +29,7 @@ from ._gf2fallback import facet_indicator, nonface_indicator
 from .complexes import (
     AMBIENT_CAP,
     SimplicialComplex,
+    _masks_of,
     alexander_dual,
     as_face,
     dimension,
@@ -152,18 +153,6 @@ def _int_rank(rows, ncols: int) -> int:
     return rank
 
 
-def _bitmasks(faces, verts) -> list:
-    """Each face as a bitmask over the positions of ``verts``."""
-    pos = {v: k for k, v in enumerate(verts)}
-    masks = []
-    for f in faces:
-        m = 0
-        for v in f:
-            m |= 1 << pos[v]
-        masks.append(m)
-    return masks
-
-
 def _rational_ranks(face: bytearray, n: int):
     """Same contract as the GF(2) kernels, but over the rationals: f-vector
     and boundary ranks (vertices map to the empty face with sign +1)."""
@@ -224,7 +213,7 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=FieldChoice.GF2) -> list
     n = len(verts)
     if n > AMBIENT_CAP:
         raise BudgetExceeded(f"homology face scan capped at {AMBIENT_CAP} support vertices")
-    masks = _bitmasks(cx.facets, verts)
+    masks = _masks_of(cx.facets, verts)
     if field is FieldChoice.GF2:
         fvec, ranks = kernels.ranks_of_facet_complex(masks, n)
     else:
@@ -260,7 +249,7 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, cap: int, size=None
         raise BudgetExceeded(f"Betti scan capped at {cap} ambient variables")
     supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
     s = len(supp)
-    gen_masks = _bitmasks(ideal.generators, supp)
+    gen_masks = _masks_of(ideal.generators, supp)
     if size is None:
         windows = range(1, 1 << s)
     else:

@@ -179,7 +179,7 @@ def minimal_nonfaces(cx: SimplicialComplex) -> tuple:
     _check_ambient_cap(cx, "minimal_nonfaces")
     amb = cx.ambient
     n = len(amb)
-    facet_masks = [_mask_of(f, amb) for f in cx.facets]
+    facet_masks = _masks_of(cx.facets, amb)
 
     def face_mask(m: int) -> bool:
         return any(m & fm == m for fm in facet_masks)
@@ -266,7 +266,7 @@ def _vertex_bit(cx: SimplicialComplex, v: int):
     """The facet masks over the ambient and the bit of v."""
     if v not in cx.ambient:
         raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    return [_mask_of(f, cx.ambient) for f in cx.facets], 1 << cx.ambient.index(v)
+    return _masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)
 
 
 def is_free_vertex(cx: SimplicialComplex, v: int) -> bool:
@@ -284,7 +284,7 @@ def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
 
 def simplicial_vertices(cx: SimplicialComplex) -> tuple:
     amb = cx.ambient
-    masks = [_mask_of(f, amb) for f in cx.facets]
+    masks = _masks_of(cx.facets, amb)
     return tuple(v for v in cx.support if _simplicial_bit(masks, 1 << amb.index(v)))
 
 
@@ -347,8 +347,10 @@ def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
         memo[masks] = ok
         return ok
 
-    support = cx.support
-    return good(frozenset(_mask_of(f, support) for f in cx.facets))
+    try:
+        return good(frozenset(_masks_of(cx.facets, cx.support)))
+    finally:
+        del good  # break the closure's cycle through its own cell, and the memo with it
 
 
 def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
@@ -414,9 +416,11 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
         dead.add(used)
         return False
 
-    if extend(frozenset()):
-        return tuple(order)
-    return None
+    try:
+        found = extend(frozenset())
+    finally:
+        del extend  # break the closure's cycle through its own cell
+    return tuple(order) if found else None
 
 
 def is_shellable(cx: SimplicialComplex, budget: int | None = None, *,
@@ -475,7 +479,7 @@ def independence_complex(cl: Clutter) -> SimplicialComplex:
     n = len(amb)
     if n > AMBIENT_CAP:
         raise BudgetExceeded(f"independence_complex scans subsets; capped at {AMBIENT_CAP} vertices")
-    circuit_masks = [_mask_of(c, amb) for c in cl.circuits]
+    circuit_masks = _masks_of(cl.circuits, amb)
     total = 1 << n
     independent = bytearray(b"\x01") * total
     for cm in circuit_masks:
@@ -548,15 +552,24 @@ def complexes_isomorphic(a: SimplicialComplex, b: SimplicialComplex,
             used.discard(w)
         return False
 
-    return place(0)
+    try:
+        return place(0)
+    finally:
+        del place  # break the closure's cycle through its own cell
 
 
-def _mask_of(face: Iterable[int], ambient: tuple) -> int:
-    pos = {v: i for i, v in enumerate(ambient)}
-    m = 0
-    for v in face:
-        m |= 1 << pos[v]
-    return m
+def _masks_of(faces: Iterable[Iterable[int]], ambient: tuple) -> list:
+    """One bitmask per face: bit i stands for ambient[i], the i-th vertex of
+    ``ambient`` (any ordered vertex tuple), so sparse labels still give small
+    masks."""
+    bit = {v: 1 << i for i, v in enumerate(ambient)}
+    out = []
+    for face in faces:
+        m = 0
+        for v in face:
+            m |= bit[v]
+        out.append(m)
+    return out
 
 
 def _face_of(mask: int, ambient: tuple) -> Face:

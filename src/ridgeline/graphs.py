@@ -264,7 +264,10 @@ def has_induced_star(g: Graph, leaves: int, budget: int | None = None) -> bool:
             return True
         return has_independent(mask & ~g.adj[v - 1] & ~low, want - 1)
 
-    return any(has_independent(g.adj[v - 1], leaves) for v in range(1, g.order + 1))
+    try:
+        return any(has_independent(g.adj[v - 1], leaves) for v in range(1, g.order + 1))
+    finally:
+        del has_independent  # break the closure's cycle through its own cell
 
 
 def clique_edge_partition(g: Graph, max_per_vertex: int,
@@ -328,7 +331,10 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
                 if ok:
                     grow(mask | 1 << (v - 1), pool[pos + 1:])
 
-        grow(base, cands)
+        try:
+            grow(base, cands)
+        finally:
+            del grow  # break the closure's cycle through its own cell
         # larger cliques first: fewer pieces tends to satisfy the cap sooner
         out.sort(key=lambda msk: -msk.bit_count())
         seen = set()
@@ -382,7 +388,11 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
                 counts[v] -= 1
         return False
 
-    if solve(0):
+    try:
+        found = solve(0)
+    finally:
+        del solve  # break the closure's cycle through its own cell
+    if found:
         chosen.reverse()
         return tuple(chosen)
     return None
@@ -452,7 +462,10 @@ def are_isomorphic(g: Graph, h: Graph, budget: int | None = None) -> bool:
             image[v] = 0
         return False
 
-    return place(1, used)
+    try:
+        return place(1, used)
+    finally:
+        del place  # break the closure's cycle through its own cell
 
 
 def cycle_graph(n: int) -> Graph:

@@ -73,11 +73,12 @@ from .linegraph import (
     NEITHER,
     NtInterpretation,
     TriangleType,
+    _is_complete,
+    _nt_count,
+    _ridge_adjacency,
     characterize_complete,
     classify_triangles,
-    count_Nt,
     edge_count_formula,
-    line_graph,
     make_cycle_complex,
     predicted_beta2,
     ridge_counts,
@@ -273,15 +274,10 @@ SKIP = "skip"
 
 
 def _ridge_graph(cx: SimplicialComplex) -> Graph:
-    """Facet adjacency by ridge intersections; total even at facet size 1,
-    where it agrees with the line-graph definition but the constructor with
-    its size floor does not run."""
-    d = facet_size(cx)
-    sets = [set(f) for f in cx.facets]
-    r = len(sets)
-    edges = [(i + 1, j + 1) for i, j in combinations(range(r), 2)
-             if len(sets[i] & sets[j]) == d - 1]
-    return Graph(r, edges)
+    """Facet adjacency by ridge intersections; total even at facet size 1
+    (the complete graph K_r), where it agrees with the line-graph definition
+    but the constructor with its size floor does not run."""
+    return Graph.from_adj(_ridge_adjacency(cx)[2])
 
 
 def _chordal_hypotheses(cx: SimplicialComplex):
@@ -306,18 +302,17 @@ def _check_deltac(cx, field, budget):
         comp = complement_complex(cx)
     except DegenerateComplement:
         return SKIP, "a facet equals the ambient set; complement degenerate"
-    d = facet_size(cx)
-    dc = facet_size(comp)
+    # each side gets its own adjacency, from its own facet masks
+    rows = _ridge_adjacency(cx)[2]
+    crows = _ridge_adjacency(comp)[2]
     index_of = {f: k for k, f in enumerate(comp.facets)}
-    amb = set(cx.ambient)
-    mapped = [index_of[tuple(sorted(amb - set(f)))] for f in cx.facets]
-    sets = [set(f) for f in cx.facets]
-    csets = [set(f) for f in comp.facets]
-    r = len(sets)
+    mapped = [index_of[tuple(v for v in cx.ambient if v not in f)] for f in cx.facets]
+    r = len(rows)
     for i in range(r):
+        crow = crows[mapped[i]]
         for j in range(i + 1, r):
-            left = len(sets[i] & sets[j]) == d - 1
-            right = len(csets[mapped[i]] & csets[mapped[j]]) == dc - 1
+            left = bool(rows[i] >> j & 1)
+            right = bool(crow >> mapped[j] & 1)
             if left != right:
                 return COUNTEREXAMPLE, {
                     "facet_pair": [i + 1, j + 1],
@@ -343,11 +338,15 @@ _INTERPS = (
 
 
 def _check_betti2(cx, field, budget):
+    """Oracle against the three readings of predicted_beta2, which share one
+    edge count and one triangle census."""
     d = facet_size(cx)
     oracle = beta_in_degree(facet_ideal(cx), 2, d + 1, field)
+    edges = edge_count_formula(cx)
+    classified = classify_triangles(cx)
     predictions = {}
     for interp in _INTERPS:
-        predictions[interp.value] = predicted_beta2(cx, interp, budget)
+        predictions[interp.value] = edges - _nt_count(classified, interp, budget)
     matches = {tag: pred == oracle for tag, pred in predictions.items()}
     diag = {"oracle": oracle, "predicted": predictions, "matches": matches}
     if any(matches.values()):
@@ -392,12 +391,6 @@ def _check_clique_partition(cx, field, budget):
     if covered != set(g.edges()) or any(c > d for c in counts):
         return COUNTEREXAMPLE, {"invalid": "not a partition within the cap"}
     return CONFIRMED, {"cliques": [list(c) for c in part]}
-
-
-def _is_complete(cx) -> bool:
-    d = facet_size(cx)
-    sets = [set(f) for f in cx.facets]
-    return all(len(a & b) == d - 1 for a, b in combinations(sets, 2))
 
 
 def _check_c3(cx, field, budget):
@@ -710,10 +703,11 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
         "diameter": (None if not is_connected(g) else diameter(g)),
         "chordal": is_chordal_graph(g) is not None,
     }
+    classified = classify_triangles(cx)
     report["triangles"] = [
-        {"vertices": list(t), "type": kind.value} for t, kind in classify_triangles(cx)
+        {"vertices": list(t), "type": kind.value} for t, kind in classified
     ]
-    nt = {interp.value: count_Nt(cx, interp, budget) for interp in _INTERPS}
+    nt = {interp.value: _nt_count(classified, interp, budget) for interp in _INTERPS}
     report["nt"] = nt
     oracle = beta_in_degree(facet_ideal(cx), 2, d + 1, field)
     report["beta2"] = {

@@ -5,15 +5,23 @@ generated families, and a bounded realizability search.
 The line graph of a pure complex with facets of size d has one vertex per
 facet (numbered 1..r in canonical facet order) and an edge exactly when two
 facets meet in d-1 vertices.
+
+Everything here works on one bitmask form. Facet i is the mask m_i whose bit
+p stands for the p-th smallest support vertex (the rule of
+``complexes._masks_of``), and ``_ridge_adjacency`` sets bit j of row i exactly
+when popcount(m_i & m_j) == d - 1. The line graph is built from those rows,
+triangles are read off them, and the triple intersection of a triangle is
+popcount(m_i & m_j & m_k).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .complexes import SimplicialComplex, facet_size, from_facets, is_pure
+from .complexes import SimplicialComplex, _masks_of, facet_size, from_facets, is_pure
 from .errors import (
     BadParameters,
     Budget,
@@ -22,7 +30,7 @@ from .errors import (
     NotPure,
     RidgelineError,
 )
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 class TriangleType(Enum):
@@ -59,7 +67,36 @@ def _require_pure(cx: SimplicialComplex) -> int:
         raise EmptyInput("line graph needs at least one facet")
     if not is_pure(cx):
         raise NotPure("line graphs are defined for pure complexes")
-    return facet_size(cx)
+    return len(cx.facets[0])
+
+
+def _ridge_adjacency(cx: SimplicialComplex) -> tuple:
+    """(d, masks, rows) of a pure complex, any facet size d >= 1.
+
+    masks[i] is facet i as a bitmask over the support positions (bit p for
+    the p-th smallest support vertex); bit j of rows[i] is set exactly when
+    popcount(masks[i] & masks[j]) == d - 1, for i != j. At d = 1 every two
+    facets are adjacent. Raises like ``facet_size`` on empty or non-pure
+    input.
+    """
+    d = facet_size(cx)
+    masks = _masks_of(cx.facets, cx.support)
+    r = len(masks)
+    rows = [0] * r
+    ridge = d - 1
+    for i in range(r):
+        mi = masks[i]
+        for j in range(i + 1, r):
+            if (mi & masks[j]).bit_count() == ridge:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return d, masks, tuple(rows)
+
+
+def _is_complete(cx: SimplicialComplex) -> bool:
+    """Whether every two facets meet in a ridge (the line graph is complete)."""
+    rows = _ridge_adjacency(cx)[2]
+    return all(row.bit_count() == len(rows) - 1 for row in rows)
 
 
 def line_graph(cx: SimplicialComplex) -> LabeledLineGraph:
@@ -67,22 +104,20 @@ def line_graph(cx: SimplicialComplex) -> LabeledLineGraph:
     d = _require_pure(cx)
     if d < 2:
         raise DimensionTooSmall("line graph needs facets of size at least 2")
-    facets = cx.facets
-    r = len(facets)
-    sets = [set(f) for f in facets]
-    edges = [(i + 1, j + 1) for i, j in combinations(range(r), 2)
-             if len(sets[i] & sets[j]) == d - 1]
-    return LabeledLineGraph(Graph(r, edges), facets)
+    return LabeledLineGraph(Graph.from_adj(_ridge_adjacency(cx)[2]), cx.facets)
 
 
 def ridge_counts(cx: SimplicialComplex) -> tuple:
-    """s_i = number of later facets meeting facet i in all but one vertex."""
+    """s_i = number of later facets meeting facet i in all but one vertex.
+
+    Counted pair by pair on the facet masks, apart from the adjacency rows,
+    so that ``edge_count_formula`` compares two routes.
+    """
     d = _require_pure(cx)
-    sets = [set(f) for f in cx.facets]
-    r = len(sets)
+    masks = _masks_of(cx.facets, cx.support)
     return tuple(
-        sum(1 for j in range(i + 1, r) if len(sets[i] & sets[j]) == d - 1)
-        for i in range(r)
+        sum(1 for mj in masks[i + 1:] if (mi & mj).bit_count() == d - 1)
+        for i, mi in enumerate(masks)
     )
 
 
@@ -105,26 +140,29 @@ def edge_count_formula(cx: SimplicialComplex) -> int:
 def classify_triangles(cx: SimplicialComplex) -> tuple:
     """Each 3-clique of the line graph with its triple-intersection type.
 
-    Computed straight from pairwise intersection sizes so that facet size 1
-    (where the line graph constructor refuses to run) still classifies.
+    Triangles (i, j, k), i < j < k, come in lexicographic order: j runs over
+    the later neighbours of i and k over the common neighbours of i and j
+    after j. Facet size 1, where the line graph constructor refuses to run, still
+    classifies.
     """
-    d = _require_pure(cx)
-    sets = [set(f) for f in cx.facets]
+    _require_pure(cx)
+    d, masks, rows = _ridge_adjacency(cx)
     out = []
-    for i, j, k in combinations(range(len(sets)), 3):
-        if (len(sets[i] & sets[j]) != d - 1 or len(sets[i] & sets[k]) != d - 1
-                or len(sets[j] & sets[k]) != d - 1):
-            continue
-        common = len(sets[i] & sets[j] & sets[k])
-        if common == d - 1:
-            kind = TriangleType.RidgeShared
-        elif common == d - 2:
-            kind = TriangleType.SimplexType
-        else:  # unreachable: pairwise ridge intersections force d-1 or d-2
-            raise RidgelineError(
-                f"triangle {(i + 1, j + 1, k + 1)} has triple intersection of size {common}"
-            )
-        out.append(((i + 1, j + 1, k + 1), kind))
+    for i, mi in enumerate(masks, start=1):
+        later_i = rows[i - 1] >> i << i
+        for j in _bits(later_i):
+            mij = mi & masks[j - 1]
+            for k in _bits(later_i >> j << j & rows[j - 1]):
+                common = (mij & masks[k - 1]).bit_count()
+                if common == d - 1:
+                    kind = TriangleType.RidgeShared
+                elif common == d - 2:
+                    kind = TriangleType.SimplexType
+                else:  # unreachable: pairwise ridge intersections force d-1 or d-2
+                    raise RidgelineError(
+                        f"triangle {(i, j, k)} has triple intersection of size {common}"
+                    )
+                out.append(((i, j, k), kind))
     return tuple(out)
 
 
@@ -138,42 +176,35 @@ def count_Nt(cx: SimplicialComplex, interp: NtInterpretation,
     vertex with any other triangle of the line graph.
     """
     interp = NtInterpretation(interp)
-    classified = classify_triangles(cx)
+    return _nt_count(classify_triangles(cx), interp, budget)
+
+
+def _nt_count(classified: tuple, interp: NtInterpretation, budget: int | None) -> int:
+    """``count_Nt`` on a census from ``classify_triangles``; the search of
+    MaxDisjoint gets a fresh budget on every call."""
     simplex = [t for t, kind in classified if kind is TriangleType.SimplexType]
     if interp is NtInterpretation.AllSimplexType:
         return len(simplex)
     if interp is NtInterpretation.IsolatedSimplexType:
-        all_triples = [t for t, _ in classified]
-        count = 0
-        for t in simplex:
-            ts = set(t)
-            if all(not ts & set(u) for u in all_triples if u != t):
-                count += 1
-        return count
-    # maximum pairwise-disjoint family
-    masks = []
-    for t in simplex:
-        m = 0
-        for v in t:
-            m |= 1 << v
-        masks.append(m)
-    b = Budget(budget)
-    best = 0
+        # isolated: each of its vertices lies in this triangle only
+        triangles_at = Counter(v for t, _ in classified for v in t)
+        return sum(1 for t in simplex if all(triangles_at[v] == 1 for v in t))
+    masks = [(1 << i) | (1 << j) | (1 << k) for i, j, k in simplex]
+    return _max_disjoint(masks, 0, 0, 0, 0, Budget(budget).spend)
 
-    def search(idx: int, used: int, size: int) -> None:
-        nonlocal best
-        if size + (len(masks) - idx) <= best:
-            return
-        if idx == len(masks):
-            best = max(best, size)
-            return
-        b.spend()
-        if not masks[idx] & used:
-            search(idx + 1, used | masks[idx], size + 1)
-        search(idx + 1, used, size)
 
-    search(0, 0, 0)
-    return best
+def _max_disjoint(masks: list, idx: int, used: int, size: int, best: int, spend) -> int:
+    """Largest count of pairwise disjoint masks: ``size`` taken so far from
+    ``masks[:idx]`` (their union is ``used``), against the ``best`` found
+    before. Branch and bound, take before skip, one step per inner node."""
+    if size + (len(masks) - idx) <= best:
+        return best
+    if idx == len(masks):
+        return size
+    spend()
+    if not masks[idx] & used:
+        best = _max_disjoint(masks, idx + 1, used | masks[idx], size + 1, best, spend)
+    return _max_disjoint(masks, idx + 1, used, size, best, spend)
 
 
 def predicted_beta2(cx: SimplicialComplex, interp: NtInterpretation,
@@ -197,22 +228,20 @@ def characterize_complete(cx: SimplicialComplex) -> str:
     internal contradiction and raises.
     """
     d = _require_pure(cx)
-    sets = [set(f) for f in cx.facets]
-    r = len(sets)
+    masks = _masks_of(cx.facets, cx.support)
+    r = len(masks)
     if r == 1:
         return CONE
-    common = set.intersection(*sets)
-    if len(common) == d - 1:
+    common = union = masks[0]
+    for m in masks:
+        common &= m
+        union |= m
+    if common.bit_count() == d - 1:
         return CONE
-    union = set.union(*sets)
-    if len(union) <= d + 1:
+    if union.bit_count() <= d + 1:
         return SIMPLEX_SUBSETS
-    if r >= 4 and d >= 2:
-        g = line_graph(cx).graph
-        if g.edge_count() == r * (r - 1) // 2:
-            raise RidgelineError(
-                "complete line graph on four or more facets fits neither shape"
-            )
+    if r >= 4 and d >= 2 and _is_complete(cx):
+        raise RidgelineError("complete line graph on four or more facets fits neither shape")
     return NEITHER
 
 
@@ -327,7 +356,11 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
                 chosen_sets.pop()
         return False
 
-    if r == 1 or extend():
+    try:
+        realized = r == 1 or extend()
+    finally:
+        del extend  # break the closure's cycle through its own cell
+    if realized:
         found = from_facets(chosen)
         if line_graph(found).graph != g:
             raise RidgelineError("realizability witness failed its own check")

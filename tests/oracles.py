@@ -6,8 +6,9 @@ matrices, Betti numbers from the subset-restriction formula evaluated the
 naive way (and beta_{2,d+1} of a pure facet ideal also in closed form by
 counting facets), shellability and linear quotients from permutation search
 against the textbook conditions, and graph chordality from induced-cycle
-search, and the chordal minor chase from deletions and contractions of
-explicit facet tuples.
+search, the chordal minor chase from deletions and contractions of
+explicit facet tuples, and the line-graph layer (ridge edges, ridge counts,
+triangle types, complete shapes) from pairwise intersections of facet sets.
 Slow on purpose; use only at unit-test scale.
 """
 
@@ -246,6 +247,55 @@ def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
 
     verdict = good(tuple(sorted(tuple(sorted(f)) for f in facets)))
     return verdict, steps
+
+
+# ---------------------------------------------------------------------------
+# line graphs: ridge adjacency, triangles and complete shapes on facet sets
+
+def oracle_ridge_edges(facets):
+    """Pairs (i, j), 1 <= i < j <= r, of facets meeting in all but one
+    vertex; facets are numbered in the given order and share one size."""
+    sets = [set(f) for f in facets]
+    d = len(sets[0])
+    return [(i + 1, j + 1) for i, j in combinations(range(len(sets)), 2)
+            if len(sets[i] & sets[j]) == d - 1]
+
+
+def oracle_ridge_counts(facets):
+    """For each facet, the number of later facets it meets in a ridge."""
+    edges = oracle_ridge_edges(facets)
+    return tuple(sum(1 for a, _ in edges if a == i) for i in range(1, len(facets) + 1))
+
+
+def oracle_classify_triangles(facets):
+    """Every triple (i, j, k), i < j < k in lexicographic order, of pairwise
+    ridge-adjacent facets with "ridge_shared" (triple intersection of size
+    d-1) or "simplex_type" (size d-2)."""
+    sets = [set(f) for f in facets]
+    d = len(sets[0])
+    adjacent = set(oracle_ridge_edges(facets))
+    out = []
+    for i, j, k in combinations(range(1, len(sets) + 1), 3):
+        if {(i, j), (i, k), (j, k)} <= adjacent:
+            common = len(sets[i - 1] & sets[j - 1] & sets[k - 1])
+            out.append(((i, j, k), "ridge_shared" if common == d - 1 else "simplex_type"))
+    return tuple(out)
+
+
+def oracle_characterize_complete(facets):
+    """"Cone" (one facet, or all facets through a common (d-1)-set),
+    "SimplexSubsets" (all facets inside one (d+1)-set), "Neither", or
+    "contradiction" when the line graph is complete on four or more facets
+    (facet size at least 2) and neither shape fits."""
+    sets = [set(f) for f in facets]
+    d, r = len(sets[0]), len(sets)
+    if r == 1 or len(set.intersection(*sets)) == d - 1:
+        return "Cone"
+    if len(set.union(*sets)) <= d + 1:
+        return "SimplexSubsets"
+    if r >= 4 and d >= 2 and len(oracle_ridge_edges(facets)) == r * (r - 1) // 2:
+        return "contradiction"
+    return "Neither"
 
 
 # ---------------------------------------------------------------------------

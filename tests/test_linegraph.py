@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
-from oracles import oracle_beta
+from oracles import (
+    oracle_beta,
+    oracle_characterize_complete,
+    oracle_classify_triangles,
+    oracle_ridge_counts,
+    oracle_ridge_edges,
+)
+from ridgeline import harness
+from ridgeline.harness import _INTERPS, _check_betti2, _check_deltac, _is_complete, _ridge_graph
 
 BD3 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -166,3 +174,141 @@ def test_property_triangle_classification_total(n, d, r, seed):
             assert len(triple) == dd - 1
         else:
             assert len(triple) == dd - 2
+
+
+def _assert_line_graph_layer_matches_oracles(cx):
+    facets, r, d = cx.facets, cx.facet_count, rl.facet_size(cx)
+    edges = oracle_ridge_edges(facets)
+    assert _ridge_graph(cx).edges() == tuple(edges), cx
+    if d == 1:
+        assert _ridge_graph(cx) == rl.complete_graph(r)
+    else:
+        lg = rl.line_graph(cx)
+        assert lg.graph.edges() == tuple(edges) and lg.facet_of == facets
+    assert rl.ridge_counts(cx) == oracle_ridge_counts(facets)
+    assert rl.edge_count_formula(cx) == len(edges)
+    got = tuple((t, kind.value) for t, kind in rl.classify_triangles(cx))
+    assert got == oracle_classify_triangles(facets), cx
+    shape = oracle_characterize_complete(facets)
+    if shape == "contradiction":
+        with pytest.raises(rl.RidgelineError, match="fits neither shape"):
+            rl.characterize_complete(cx)
+    else:
+        assert rl.characterize_complete(cx) == shape, cx
+    assert _is_complete(cx) == (len(edges) == r * (r - 1) // 2)
+    if len(cx.ambient) > d:
+        assert _check_deltac(cx, None, None) == ("confirmed", None)
+    else:
+        assert _check_deltac(cx, None, None)[0] == "skip"
+
+
+def test_line_graph_layer_matches_oracles_exhaustive():
+    for d in (1, 2, 3):
+        for cx in rl.enumerate_pure_complexes(5, d, 5):
+            _assert_line_graph_layer_matches_oracles(cx)
+
+
+@st.composite
+def sparse_pure_complexes(draw):
+    """Pure families over sparse labels up to 10**6, with extra ambient
+    vertices that lie in no facet."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(1, min(4, n)))
+    labels = draw(st.lists(st.integers(1, 10 ** 6), min_size=n + 3, max_size=n + 3,
+                           unique=True))
+    family = draw(st.lists(st.sets(st.sampled_from(labels[:n]), min_size=d, max_size=d),
+                           min_size=1, max_size=9))
+    extra = draw(st.integers(0, 3))
+    return rl.from_facets(family, ambient=labels[:n] + labels[n:n + extra])
+
+
+@given(sparse_pure_complexes())
+@settings(max_examples=150, deadline=None)
+def test_line_graph_layer_matches_oracles_sparse(cx):
+    _assert_line_graph_layer_matches_oracles(cx)
+
+
+def test_deltac_reports_first_disagreeing_pair(monkeypatch):
+    """The two sides of deltac always agree on real input, so flip pairs of
+    the complement's adjacency and compare the reported pair with the first
+    disagreement of the set-based adjacencies under the same flips."""
+    cx = rl.from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5], [1, 2, 6]])
+    comp = rl.complement_complex(cx)
+    mapped = [comp.facets.index(tuple(v for v in cx.ambient if v not in f)) for f in cx.facets]
+    left = set(oracle_ridge_edges(cx.facets))
+    right = set(oracle_ridge_edges(comp.facets))
+    adjacency = harness._ridge_adjacency
+    for flips in ([(2, 4)], [(4, 5), (1, 3)], [(1, 2), (2, 3)], [(3, 5), (1, 5)]):
+        flipped = right ^ set(flips)
+
+        def fake(c, flips=flips):
+            d, masks, rows = adjacency(c)
+            if c != comp:
+                return d, masks, rows
+            rows = list(rows)
+            for a, b in flips:
+                rows[a - 1] ^= 1 << b - 1
+                rows[b - 1] ^= 1 << a - 1
+            return d, masks, tuple(rows)
+
+        monkeypatch.setattr(harness, "_ridge_adjacency", fake)
+        expected = None
+        for i, j in [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]:
+            image = tuple(sorted((mapped[i - 1] + 1, mapped[j - 1] + 1)))
+            if ((i, j) in left) != (image in flipped):
+                expected = ("counterexample", {
+                    "facet_pair": [i, j],
+                    "adjacent_in_line_graph": (i, j) in left,
+                    "adjacent_in_complement_line_graph": image in flipped,
+                })
+                break
+        assert expected is not None
+        assert _check_deltac(cx, None, None) == expected, flips
+
+
+def _betti2_by_three_predictions(cx, field, budget):
+    """The betti2 check as three separate predicted_beta2 calls."""
+    d = rl.facet_size(cx)
+    oracle = rl.beta_in_degree(rl.facet_ideal(cx), 2, d + 1, field)
+    predictions = {interp.value: rl.predicted_beta2(cx, interp, budget) for interp in _INTERPS}
+    matches = {tag: pred == oracle for tag, pred in predictions.items()}
+    diag = {"oracle": oracle, "predicted": predictions, "matches": matches}
+    return ("confirmed" if any(matches.values()) else "counterexample"), diag
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except rl.BudgetExceeded as exc:
+        return "budget", str(exc)
+
+
+SHARED_CENSUS_CORPORA = (("random", 6, 3, 10, 12), ("random", 5, 2, 8, 12),
+                         ("random", 7, 3, 6, 12), ("random", 7, 4, 8, 8))
+
+
+def test_shared_census_betti2_matches_three_predictions():
+    for corpus in SHARED_CENSUS_CORPORA:
+        for _, cx in harness._iter_corpus(corpus, seed=11):
+            for budget in (None, *range(1, 41)):
+                assert (_outcome(_check_betti2, cx, "gf2", budget)
+                        == _outcome(_betti2_by_three_predictions, cx, "gf2", budget)), (cx, budget)
+
+
+def test_shared_census_analyze_matches_count_nt():
+    for corpus in SHARED_CENSUS_CORPORA[:2]:
+        for _, cx in harness._iter_corpus(corpus, seed=12):
+            for budget in (None, 1, 2, 3, 5, 8, 13, 21):
+                report = _outcome(rl.analyze, cx, "gf2", None, budget)
+                nt = _outcome(lambda: {i.value: rl.count_Nt(cx, i, budget) for i in _INTERPS})
+                if isinstance(nt, tuple):  # both run out of budget the same way
+                    assert report == nt, (cx, budget)
+                    continue
+                if isinstance(report, tuple):  # the later shelling search ran out
+                    assert report == _outcome(rl.is_shellable, cx, budget), (cx, budget)
+                    continue
+                edges = rl.edge_count_formula(cx)
+                assert report["nt"] == nt
+                assert report["beta2"]["predicted"] == {tag: edges - n for tag, n in nt.items()}
+                assert report["triangles"] == [{"vertices": list(t), "type": kind.value}
+                                               for t, kind in rl.classify_triangles(cx)]
