@@ -24,7 +24,6 @@ from .algebra import (
     monomial_ideal,
     reduced_homology_ranks,
     regularity,
-    shellable_implies_quotients_check,
     stanley_reisner_ideal,
 )
 from .complexes import (
@@ -35,8 +34,6 @@ from .complexes import (
     clutter_of_complex,
     complement_complex,
     complexes_isomorphic,
-    contraction,
-    deletion,
     dimension,
     facet_size,
     from_facets,

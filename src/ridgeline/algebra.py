@@ -11,9 +11,13 @@ boundary-matrix ranks, over GF(2) through the selected kernel (compiled or
 pure) and over the rationals through exact fraction-free integer
 elimination.
 
+The subset walks themselves (face indicators, grouping faces by
+cardinality, the vertex cap) come from ``complexes``; the two fields differ
+only in the elimination step.
+
 On top of the table sit regularity, linear resolutions, linear quotients,
-the dual criterion for Cohen-Macaulayness, the chordal-complement test for
-edge ideals, and a combined shellability/quotients report.
+the dual criterion for Cohen-Macaulayness and the chordal-complement test for
+edge ideals.
 """
 
 from __future__ import annotations
@@ -25,25 +29,23 @@ from itertools import combinations
 from math import gcd
 
 from . import kernels
-from ._gf2fallback import facet_indicator, nonface_indicator
 from .complexes import (
-    AMBIENT_CAP,
     SimplicialComplex,
+    _check_ambient_cap,
+    _faces_by_cardinality,
     _masks_of,
     alexander_dual,
     as_face,
     dimension,
-    is_pure,
-    is_shellable,
+    facet_indicator,
     minimal_nonfaces,
+    nonface_indicator,
     single_swap_order,
 )
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     DegenerateDual,
     EmptyInput,
-    NotPure,
     RidgelineError,
 )
 from .graphs import Graph, complement, is_chordal_graph
@@ -156,17 +158,8 @@ def _int_rank(rows, ncols: int) -> int:
 def _rational_ranks(face: bytearray, n: int):
     """Same contract as the GF(2) kernels, but over the rationals: f-vector
     and boundary ranks (vertices map to the empty face with sign +1)."""
-    total = 1 << n
-    by_card = [[] for _ in range(n + 1)]
-    for m in range(total):
-        if face[m]:
-            by_card[m.bit_count()].append(m)
-    fvec = [len(by_card[p]) for p in range(n + 1)] + [0]
+    by_card, colidx, fvec = _faces_by_cardinality(face, n)
     ranks = [0] * (n + 2)
-    colidx = {}
-    for p in range(n + 1):
-        for k, m in enumerate(by_card[p]):
-            colidx[m] = k
     for p in range(1, n + 1):
         if not by_card[p]:
             continue
@@ -211,8 +204,7 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=FieldChoice.GF2) -> list
     field = _field(field)
     verts = cx.support
     n = len(verts)
-    if n > AMBIENT_CAP:
-        raise BudgetExceeded(f"homology face scan capped at {AMBIENT_CAP} support vertices")
+    _check_ambient_cap(n, "reduced_homology_ranks")
     masks = _masks_of(cx.facets, verts)
     if field is FieldChoice.GF2:
         fvec, ranks = kernels.ranks_of_facet_complex(masks, n)
@@ -232,11 +224,8 @@ class BettiTable:
     def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def max_index(self) -> int:
-        return max((i for (i, _), _ in self.entries), default=0)
 
-
-def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, cap: int, size=None):
+def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     """Reduced homology of the restriction to each window W of the generator
     support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
 
@@ -245,8 +234,7 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, cap: int, size=None
     W in none of them is a cone point, so the restriction is acyclic
     (Gasharov-Peeva-Welker, the lcm lattice).
     """
-    if len(ideal.ambient) > cap:
-        raise BudgetExceeded(f"Betti scan capped at {cap} ambient variables")
+    _check_ambient_cap(len(ideal.ambient), "Hochster scan")
     supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
     s = len(supp)
     gen_masks = _masks_of(ideal.generators, supp)
@@ -273,9 +261,9 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, cap: int, size=None
 
 
 @lru_cache(maxsize=65536)
-def _betti_entries(ideal: MonomialIdeal, field: FieldChoice, cap: int) -> tuple:
+def _betti_entries(ideal: MonomialIdeal, field: FieldChoice) -> tuple:
     entries: dict = {}
-    for j, hom in _hochster_scan(ideal, field, cap):
+    for j, hom in _hochster_scan(ideal, field):
         for i in range(1, j + 1):
             if hom[j - i]:
                 entries[(i, j)] = entries.get((i, j), 0) + hom[j - i]
@@ -285,7 +273,7 @@ def _betti_entries(ideal: MonomialIdeal, field: FieldChoice, cap: int) -> tuple:
     return tuple(sorted(entries.items()))
 
 
-def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2, cap: int = AMBIENT_CAP) -> BettiTable:
+def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
     """Full graded Betti table of S/I by scanning vertex subsets.
 
     Only windows that are the union of the generators they contain (the
@@ -293,7 +281,7 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2, cap: int = AMBIENT_
     routine; the implicit beta_{0,0} = 1 is not stored.
     """
     field = _field(field)
-    return BettiTable(_betti_entries(ideal, field, cap), field)
+    return BettiTable(_betti_entries(ideal, field), field)
 
 
 def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
@@ -303,8 +291,7 @@ def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
     return betti_table(ideal, field).as_dict().get((i, j), 0)
 
 
-def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2,
-                   cap: int = AMBIENT_CAP) -> int:
+def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
     """One graded Betti number by scanning only the degree-j vertex subsets.
 
     Same value as beta(ideal, i, j, field) but without filling the whole
@@ -315,7 +302,7 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2,
         return 1 if j == 0 else 0
     if i < 0 or j < i:
         return 0
-    return sum(hom[j - i] for _, hom in _hochster_scan(ideal, field, cap, j))
+    return sum(hom[j - i] for _, hom in _hochster_scan(ideal, field, j))
 
 
 def regularity(ideal: MonomialIdeal, field=FieldChoice.GF2) -> int:
@@ -374,37 +361,3 @@ def froberg_check(g: Graph, field=FieldChoice.GF2) -> dict:
         "complement_chordal": chordal,
         "agree": lin == chordal,
     }
-
-
-def shellable_implies_quotients_check(cx: SimplicialComplex, field=FieldChoice.GF2,
-                                      budget: int | None = None) -> dict:
-    """Run the shelling search against linear quotients of the dual ideal.
-
-    The two answers must agree; when quotients exist, the dual ideal must
-    also have a linear resolution. All raw witnesses are included so callers
-    can re-check them.
-    """
-    if not is_pure(cx):
-        raise NotPure("this check compares pure shellability with the dual ideal")
-    dual = alexander_dual(cx)
-    if dual.is_empty:
-        raise DegenerateDual("the full simplex has a void dual; nothing to test")
-    shelling = is_shellable(cx, budget)
-    ideal = stanley_reisner_ideal(dual)
-    quotient_order = has_linear_quotients(ideal, budget)
-    report = {
-        "shellable": shelling is not None,
-        "shelling_order": shelling,
-        "dual_has_linear_quotients": quotient_order is not None,
-        "quotient_order": quotient_order,
-        "dual_generators": ideal.generators,
-        "biconditional": (shelling is not None) == (quotient_order is not None),
-    }
-    if quotient_order is not None:
-        linear = has_linear_resolution(ideal, field)
-        report["dual_linear_resolution"] = linear
-        report["quotients_imply_resolution"] = linear
-    else:
-        report["dual_linear_resolution"] = None
-        report["quotients_imply_resolution"] = None
-    return report

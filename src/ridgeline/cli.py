@@ -16,9 +16,9 @@ from pathlib import Path
 from .algebra import beta_in_degree, betti_table, facet_ideal
 from .errors import BudgetExceeded, RidgelineError
 from .harness import (
+    _iter_corpus,
     analyze,
     parse_document,
-    random_pure_complex,
     render_analysis,
     serialize_complex,
     verify,
@@ -165,13 +165,10 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(max(args.count - 1, 0))))
-    for k in range(args.count):
-        # same per-instance derivation the random verify corpus uses
-        sub_seed = args.seed * 1_000_003 + k
-        cx = random_pure_complex(args.n, args.d, args.r, sub_seed)
-        name = f"random-{args.n}-{args.d}-{args.r}-seed{sub_seed}"
+    corpus = ("random", args.n, args.d, args.r, args.count)
+    for k, (doc, cx) in enumerate(_iter_corpus(corpus, args.seed)):
         path = out / f"complex_{k:0{width}d}.json"
-        path.write_bytes(serialize_complex(cx, name))
+        path.write_bytes(serialize_complex(cx, doc["name"]))
         sys.stdout.write(f"{path}\n")
     return 0
 

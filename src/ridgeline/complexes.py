@@ -8,7 +8,14 @@ under which Stanley-Reisner ideals of restricted complexes behave).
 
 The empty complex (no facets) and the complex whose single facet is the empty
 set are not constructible through ``from_facets`` but are legal results of
-deletions, contractions and duals, and all operations here accept them.
+minors and duals, and all operations here accept them.
+
+Every walk over the 2**n subsets of a vertex set goes through this module:
+``facet_indicator`` marks the faces of a facet family, ``nonface_indicator``
+marks the sets avoiding every generator inside a window, and
+``_faces_by_cardinality`` groups the marked faces for the rank routines of
+both coefficient fields. ``_check_ambient_cap`` refuses such a walk over more
+than ``AMBIENT_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -33,11 +40,15 @@ from .errors import (
 Face = tuple  # strictly increasing tuple of positive integers
 
 AMBIENT_CAP = 16  # subset scans refuse larger vertex sets
+MAX_BITS = 20  # 2**20 face indicators is the most a builder will allocate
 
 
 def as_face(vertices: Iterable[int]) -> Face:
     """Normalize an iterable of vertices into a sorted face tuple."""
-    face = tuple(sorted(set(vertices)))
+    try:
+        face = tuple(sorted(set(vertices)))
+    except TypeError:  # unhashable vertices, or ones that do not compare
+        raise BadParameters(f"vertices {vertices!r} are not all positive integers") from None
     for v in face:
         if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
             raise BadParameters(f"vertex {v!r} is not a positive integer")
@@ -165,9 +176,10 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient, tuple(sorted(facets)))
 
 
-def _check_ambient_cap(cx: SimplicialComplex, what: str) -> None:
-    if len(cx.ambient) > AMBIENT_CAP:
-        raise BudgetExceeded(f"{what} scans subsets of the ambient; capped at {AMBIENT_CAP} vertices")
+def _check_ambient_cap(n: int, what: str) -> None:
+    """Refuse a subset scan over more than AMBIENT_CAP vertices."""
+    if n > AMBIENT_CAP:
+        raise BudgetExceeded(f"{what}: a subset scan over {n} vertices exceeds the cap of {AMBIENT_CAP}")
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple:
@@ -176,27 +188,21 @@ def minimal_nonfaces(cx: SimplicialComplex) -> tuple:
     A set S qualifies exactly when S is not a face while every S minus one
     vertex is. The empty complex has the empty set as its minimal non-face.
     """
-    _check_ambient_cap(cx, "minimal_nonfaces")
     amb = cx.ambient
     n = len(amb)
-    facet_masks = _masks_of(cx.facets, amb)
-
-    def face_mask(m: int) -> bool:
-        return any(m & fm == m for fm in facet_masks)
-
+    _check_ambient_cap(n, "minimal_nonfaces")
+    face = facet_indicator(_masks_of(cx.facets, amb), n)
     out = []
     for m in range(1 << n):
-        if face_mask(m):
+        if face[m]:
             continue
         sub = m
-        minimal = True
         while sub:
             low = sub & -sub
-            if not face_mask(m ^ low):
-                minimal = False
+            if not face[m ^ low]:
                 break
             sub ^= low
-        if minimal:
+        else:
             out.append(_face_of(m, amb))
     return tuple(sorted(out, key=lambda f: (len(f), f)))
 
@@ -213,31 +219,6 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     amb = set(cx.ambient)
     facets = tuple(sorted(tuple(sorted(amb - set(w))) for w in minimal_nonfaces(cx)))
     return SimplicialComplex(cx.ambient, facets)
-
-
-def deletion(cx: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Drop every facet through v and remove v from the ambient.
-
-    May return the empty complex, which is legal input for minor recursion.
-    """
-    if v not in cx.ambient:
-        raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    facets = tuple(f for f in cx.facets if v not in f)
-    ambient = tuple(u for u in cx.ambient if u != v)
-    return SimplicialComplex(ambient, facets)
-
-
-def contraction(cx: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Remove v from every facet, then keep the maximal results.
-
-    The result need not be pure even when the input is, and contracting the
-    last vertex of a lone facet leaves the complex whose only facet is empty.
-    """
-    if v not in cx.ambient:
-        raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    stripped = [tuple(u for u in f if u != v) for f in cx.facets]
-    ambient = tuple(u for u in cx.ambient if u != v)
-    return SimplicialComplex(ambient, _maximal(stripped))
 
 
 def _free_bit(masks, bit: int) -> bool:
@@ -477,22 +458,10 @@ def independence_complex(cl: Clutter) -> SimplicialComplex:
     """Complex of vertex sets containing no circuit."""
     amb = cl.ambient
     n = len(amb)
-    if n > AMBIENT_CAP:
-        raise BudgetExceeded(f"independence_complex scans subsets; capped at {AMBIENT_CAP} vertices")
-    circuit_masks = _masks_of(cl.circuits, amb)
-    total = 1 << n
-    independent = bytearray(b"\x01") * total
-    for cm in circuit_masks:
-        # mark every superset of the circuit dependent
-        rest = (total - 1) ^ cm
-        sub = rest
-        while True:
-            independent[cm | sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+    _check_ambient_cap(n, "independence_complex")
+    independent, _ = nonface_indicator(_masks_of(cl.circuits, amb), (1 << n) - 1)
     facets = []
-    for m in range(total):
+    for m in range(1 << n):
         if not independent[m]:
             continue
         if all(not independent[m | (1 << i)] for i in range(n) if not m >> i & 1):
@@ -574,3 +543,81 @@ def _masks_of(faces: Iterable[Iterable[int]], ambient: tuple) -> list:
 
 def _face_of(mask: int, ambient: tuple) -> Face:
     return tuple(ambient[i] for i in range(len(ambient)) if mask >> i & 1)
+
+
+def facet_indicator(facet_masks, n: int) -> bytearray:
+    """Indicator over the 2**n bitmasks of the faces of the complex
+    generated by the facet masks."""
+    if not 0 <= n <= MAX_BITS:
+        raise ValueError(f"bit count {n} outside 0..{MAX_BITS}")
+    total = 1 << n
+    face = bytearray(total)
+    for fm in facet_masks:
+        if fm >> n:
+            raise ValueError(f"facet mask {fm:#x} does not fit in {n} bits")
+        sub = fm
+        while True:
+            face[sub] = 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & fm
+    return face
+
+
+def nonface_indicator(gen_masks, w_mask: int):
+    """Indicator of the restriction to W of the complex whose non-faces are
+    the sets containing some generator mask, as ``(face, n)``.
+
+    Faces are the subsets of ``w_mask`` containing no generator; generators
+    not contained in ``w_mask`` cannot occur inside such a subset and are
+    ignored. Masks are compressed onto the n bits of ``w_mask``.
+    """
+    n = w_mask.bit_count()
+    if n > MAX_BITS:
+        raise ValueError(f"window of {n} bits outside 0..{MAX_BITS}")
+    amb2c = {}
+    rest = w_mask
+    c = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        amb2c[low] = c
+        c += 1
+    total = 1 << n
+    face = bytearray(b"\x01") * total
+    for gm in gen_masks:
+        if gm & ~w_mask:
+            continue
+        cg = 0
+        g = gm
+        while g:
+            low = g & -g
+            g ^= low
+            cg |= 1 << amb2c[low]
+        sup = (total - 1) ^ cg
+        sub = sup
+        while True:
+            face[cg | sub] = 0
+            if sub == 0:
+                break
+            sub = (sub - 1) & sup
+    return face, n
+
+
+def _faces_by_cardinality(face: bytearray, n: int):
+    """``(by_card, colidx, fvec)`` of a face indicator over 2**n bitmasks.
+
+    ``by_card[p]`` lists the faces of cardinality p in increasing mask order,
+    ``colidx[m]`` is the position of face m in its list, and ``fvec[p]``
+    counts the faces of cardinality p, with a trailing zero at p = n + 1.
+    """
+    by_card = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        if face[m]:
+            by_card[m.bit_count()].append(m)
+    colidx = {}
+    for layer in by_card:
+        for k, m in enumerate(layer):
+            colidx[m] = k
+    fvec = [len(layer) for layer in by_card] + [0]
+    return by_card, colidx, fvec

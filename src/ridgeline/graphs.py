@@ -91,27 +91,6 @@ def _bits(mask: int) -> tuple:
     return tuple(out)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Induced subgraph, relabeled 1..k in the sorted order of ``vertices``."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        g._check(v)
-    pos = {v: i for i, v in enumerate(vs)}
-    keep = 0
-    for v in vs:
-        keep |= 1 << (v - 1)
-    adj = []
-    for v in vs:
-        row = g.adj[v - 1] & keep
-        new_row = 0
-        while row:
-            low = row & -row
-            new_row |= 1 << pos[low.bit_length()]
-            row ^= low
-        adj.append(new_row)
-    return Graph.from_adj(tuple(adj))
-
-
 def is_connected(g: Graph) -> bool:
     """Connectivity; the empty graph and one-vertex graph count as connected."""
     if g.order <= 1:

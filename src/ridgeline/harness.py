@@ -511,7 +511,12 @@ THEOREMS = {
 
 
 def _iter_corpus(corpus, seed, budget=None):
-    """Yield (document, complex) pairs for a corpus spec tuple."""
+    """Yield (document, complex) pairs for a corpus spec tuple.
+
+    A file that does not parse yields ``({"name": path}, error)`` with the
+    ``RidgelineError`` in place of the complex, so that it costs one skipped
+    instance rather than the run; a file that cannot be read still raises.
+    """
     kind = corpus[0]
     if kind == "random":
         _, n, d, r, trials = corpus
@@ -526,7 +531,12 @@ def _iter_corpus(corpus, seed, budget=None):
     elif kind == "files":
         for path in corpus[1]:
             with open(path, "rb") as fh:
-                cx, name = parse_document(fh.read())
+                data = fh.read()
+            try:
+                cx, name = parse_document(data)
+            except RidgelineError as exc:
+                yield {"name": str(path)}, exc
+                continue
             yield complex_document(cx, name=name or str(path)), cx
     else:
         raise BadParameters(f"unknown corpus kind {kind!r}")
@@ -619,6 +629,9 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
             }
         for doc, cx in _iter_corpus(corpus, seed, budget):
             instances += 1
+            if isinstance(cx, RidgelineError):
+                skips.append({"document": doc, "reason": f"unreadable document: {cx}"})
+                continue
             try:
                 status, diag = checker(cx, field, budget)
             except BudgetExceeded as exc:
@@ -707,14 +720,21 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     report["triangles"] = [
         {"vertices": list(t), "type": kind.value} for t, kind in classified
     ]
-    nt = {interp.value: _nt_count(classified, interp, budget) for interp in _INTERPS}
+    nt = {}
+    for interp in _INTERPS:
+        try:
+            nt[interp.value] = _nt_count(classified, interp, budget)
+        except BudgetExceeded as exc:
+            nt[interp.value] = None
+            report["nt_note"] = str(exc)
     report["nt"] = nt
     oracle = beta_in_degree(facet_ideal(cx), 2, d + 1, field)
+    edges = report["line_graph"]["edge_count"]
     report["beta2"] = {
         "degree": d + 1,
         "oracle": oracle,
         "predicted": {
-            tag: report["line_graph"]["edge_count"] - count for tag, count in nt.items()
+            tag: None if count is None else edges - count for tag, count in nt.items()
         },
     }
     report["shape_if_complete"] = characterize_complete(cx)
@@ -723,9 +743,15 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     except BudgetExceeded as exc:
         report["complex_chordal"] = None
         report["complex_chordal_note"] = str(exc)
-    shelling = is_shellable(cx, budget)
-    report["shellable"] = shelling is not None
-    report["shelling_order"] = None if shelling is None else [list(f) for f in shelling]
+    try:
+        shelling = is_shellable(cx, budget)
+    except BudgetExceeded as exc:
+        report["shellable"] = None
+        report["shelling_order"] = None
+        report["shellable_note"] = str(exc)
+    else:
+        report["shellable"] = shelling is not None
+        report["shelling_order"] = None if shelling is None else [list(f) for f in shelling]
     try:
         report["cohen_macaulay"] = is_cohen_macaulay(cx, field)
     except DegenerateDual as exc:
@@ -734,6 +760,11 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     if d == 2:
         report["froberg"] = froberg_check(_graph_of_edge_complex(cx), field)
     return report
+
+
+def _noted(line: str, note) -> str:
+    """A report line with its note, if any, in parentheses."""
+    return line + (f" ({note})" if note else "")
 
 
 def render_analysis(report: dict) -> str:
@@ -760,21 +791,21 @@ def render_analysis(report: dict) -> str:
     simplex = sum(1 for t in tri if t["type"] == TriangleType.SimplexType.value)
     lines.append(f"triangles: {len(tri)} ({ridge} ridge-shared, {simplex} simplex-type)")
     nt = report["nt"]
-    lines.append(f"correction counts: all={nt['all']}, max_disjoint={nt['max_disjoint']}, "
-                 f"isolated={nt['isolated']}")
+    lines.append(_noted(f"correction counts: all={nt['all']}, max_disjoint={nt['max_disjoint']}, "
+                        f"isolated={nt['isolated']}", report.get("nt_note")))
     b2 = report["beta2"]
     preds = ", ".join(f"{tag}={val}" for tag, val in sorted(b2["predicted"].items()))
     lines.append(f"beta_2 in degree {b2['degree']}: oracle={b2['oracle']} predicted: {preds}")
     lines.append(f"complete-shape: {report['shape_if_complete']}")
-    lines.append(f"complex chordal: {report['complex_chordal']}")
+    lines.append(_noted(f"complex chordal: {report['complex_chordal']}",
+                        report.get("complex_chordal_note")))
     if report["shellable"]:
         order = " ".join("{" + ",".join(map(str, f)) + "}" for f in report["shelling_order"])
         lines.append(f"shellable: True  order: {order}")
     else:
-        lines.append("shellable: False")
-    cm = report["cohen_macaulay"]
-    note = report.get("cohen_macaulay_note")
-    lines.append(f"Cohen-Macaulay: {cm}" + (f" ({note})" if note else ""))
+        lines.append(_noted(f"shellable: {report['shellable']}", report.get("shellable_note")))
+    lines.append(_noted(f"Cohen-Macaulay: {report['cohen_macaulay']}",
+                        report.get("cohen_macaulay_note")))
     if "froberg" in report:
         fr = report["froberg"]
         lines.append(

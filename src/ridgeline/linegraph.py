@@ -306,10 +306,11 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
     One facet per graph vertex, assigned in vertex order: facet 1 is fixed to
     {1..d} and every later facet draws from already-used vertices plus the
     smallest block of fresh ones, which enumerates all complexes up to
-    relabeling. Returns a complex with line graph exactly g (identity
-    labeling) or None once the bounded space is exhausted. d*r vertices are
-    always enough, so ``max_vertices >= d * g.order`` makes the search
-    complete.
+    relabeling. Returns g as a ``LabeledLineGraph`` whose ``facet_of[i-1]``
+    is the facet found for vertex i, so facets i and j meet in a ridge
+    exactly when ij is an edge of g, or None once the bounded space is
+    exhausted. d*r vertices are always enough, so
+    ``max_vertices >= d * g.order`` makes the search complete.
     """
     if d < 2:
         raise DimensionTooSmall("realizability needs facet size at least 2")
@@ -360,9 +361,12 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
         realized = r == 1 or extend()
     finally:
         del extend  # break the closure's cycle through its own cell
-    if realized:
-        found = from_facets(chosen)
-        if line_graph(found).graph != g:
-            raise RidgelineError("realizability witness failed its own check")
-        return found
-    return None
+    if not realized:
+        return None
+    # the facets in search order: from_facets would sort them and so break
+    # the vertex-to-facet map
+    facets = tuple(chosen)
+    support = tuple(sorted(set().union(*chosen)))
+    if Graph.from_adj(_ridge_adjacency(SimplicialComplex(support, facets))[2]) != g:
+        raise RidgelineError("realizability witness failed its own check")
+    return LabeledLineGraph(g, facets)

@@ -6,8 +6,9 @@ matrices, Betti numbers from the subset-restriction formula evaluated the
 naive way (and beta_{2,d+1} of a pure facet ideal also in closed form by
 counting facets), shellability and linear quotients from permutation search
 against the textbook conditions, and graph chordality from induced-cycle
-search, the chordal minor chase from deletions and contractions of
-explicit facet tuples, and the line-graph layer (ridge edges, ridge counts,
+search, independence complexes from subsets checked one by one, the
+chordal minor chase from deletions and contractions of explicit facet
+tuples, and the line-graph layer (ridge edges, ridge counts,
 triangle types, complete shapes) from pairwise intersections of facet sets.
 Slow on purpose; use only at unit-test scale.
 """
@@ -16,6 +17,9 @@ from itertools import combinations, permutations
 
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
+
+from ridgeline.complexes import SimplicialComplex
+from ridgeline.errors import UnknownVertex
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,37 @@ def oracle_minimal_nonfaces(facets, ambient):
                   if all(s[:p] + s[p + 1:] in faces for p in range(len(s))))
 
 
+def oracle_independence_complex(circuits, ambient):
+    """Facets of the complex of the subsets of ``ambient`` containing no
+    circuit: the independent sets with no independent proper superset."""
+    circ = [set(c) for c in circuits]
+    independent = [s for k in range(len(ambient) + 1)
+                   for s in combinations(sorted(ambient), k)
+                   if not any(c <= set(s) for c in circ)]
+    return sorted(s for s in independent
+                  if not any(set(s) < set(t) for t in independent))
+
+
+def antichains(ground):
+    """Every antichain of subsets of ``ground`` (the empty family and the
+    family holding only the empty set included), as sorted tuples of sorted
+    tuples."""
+    subsets = [s for k in range(len(ground) + 1) for s in combinations(sorted(ground), k)]
+    out = []
+
+    def grow(start, chosen):
+        out.append(tuple(sorted(chosen)))
+        for pos in range(start, len(subsets)):
+            s = set(subsets[pos])
+            if all(not (s <= set(c) or set(c) <= s) for c in chosen):
+                chosen.append(subsets[pos])
+                grow(pos + 1, chosen)
+                chosen.pop()
+
+    grow(0, [])
+    return out
+
+
 def oracle_is_cm_reisner(facets, field="gf2"):
     """Reisner's criterion: every link (the empty face included) has reduced
     homology vanishing below its dimension."""
@@ -211,6 +246,29 @@ def _maximal_faces(faces):
     return tuple(sorted(f for f in uniq if not any(set(f) < set(g) for g in uniq)))
 
 
+def deletion(cx, v):
+    """Drop every facet through v and remove v from the ambient.
+
+    May return the empty complex, which is legal input for minor recursion.
+    """
+    if v not in cx.ambient:
+        raise UnknownVertex(f"vertex {v} is not in the ambient set")
+    facets = tuple(f for f in cx.facets if v not in f)
+    return SimplicialComplex(tuple(u for u in cx.ambient if u != v), facets)
+
+
+def contraction(cx, v):
+    """Remove v from every facet, then keep the maximal results.
+
+    The result need not be pure even when the input is, and contracting the
+    last vertex of a lone facet leaves the complex whose only facet is empty.
+    """
+    if v not in cx.ambient:
+        raise UnknownVertex(f"vertex {v} is not in the ambient set")
+    stripped = (tuple(u for u in f if u != v) for f in cx.facets)
+    return SimplicialComplex(tuple(u for u in cx.ambient if u != v), _maximal_faces(stripped))
+
+
 def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
     """Whether every deletion and contraction minor has a vertex passing
     ``keeps``, as ``(verdict, steps)``.
@@ -224,8 +282,9 @@ def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
     memo = {}
     steps = 0
 
-    def good(state):
+    def good(cx):
         nonlocal steps
+        state = cx.facets
         if len(state) <= 1:
             return True
         if state in memo:
@@ -237,15 +296,14 @@ def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
         ok = any(keeps(state, v) for v in support)
         if ok:
             for v in support:
-                dele = tuple(f for f in state if v not in f)
-                if not good(dele) or not good(
-                        _maximal_faces(tuple(u for u in f if u != v) for f in state)):
+                if not good(deletion(cx, v)) or not good(contraction(cx, v)):
                     ok = False
                     break
         memo[state] = ok
         return ok
 
-    verdict = good(tuple(sorted(tuple(sorted(f)) for f in facets)))
+    state = tuple(sorted(tuple(sorted(f)) for f in facets))
+    verdict = good(SimplicialComplex(tuple(sorted(set().union(*map(set, state)))), state))
     return verdict, steps
 
 

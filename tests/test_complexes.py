@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 import ridgeline as rl
 from oracles import (
     OracleBudgetExceeded,
+    antichains,
+    contraction,
+    deletion,
+    oracle_independence_complex,
     oracle_is_free,
     oracle_is_shellable,
     oracle_is_simplicial,
@@ -81,6 +85,35 @@ def test_minimal_nonfaces_against_oracle():
         assert sorted(rl.minimal_nonfaces(cx)) == oracle_minimal_nonfaces(facets, cx.ambient)
 
 
+def test_subset_scans_match_oracles_exhaustive():
+    # every antichain over every ambient of at most five vertices: facets
+    # that miss ambient vertices, the empty complex and the empty facet too
+    for n in range(6):
+        amb = tuple(range(1, n + 1))
+        for family in antichains(amb):
+            cx = rl.SimplicialComplex(amb, family)
+            assert sorted(rl.minimal_nonfaces(cx)) == oracle_minimal_nonfaces(family, amb), family
+            ind = rl.independence_complex(rl.Clutter(amb, family))
+            assert ind.ambient == amb
+            assert list(ind.facets) == oracle_independence_complex(family, amb), family
+
+
+def test_subset_scans_refuse_above_the_cap():
+    big = tuple(range(1, 18))
+    with pytest.raises(rl.BudgetExceeded):
+        rl.minimal_nonfaces(rl.SimplicialComplex(big, ((1, 2),)))
+    with pytest.raises(rl.BudgetExceeded):
+        rl.independence_complex(rl.Clutter(big, ((1, 2),)))
+    ideal = rl.monomial_ideal([(1, 2)], ambient=big)
+    with pytest.raises(rl.BudgetExceeded):
+        rl.betti_table(ideal)
+    with pytest.raises(rl.BudgetExceeded):
+        rl.beta_in_degree(ideal, 1, 2)
+    # sixteen vertices are still scanned
+    assert rl.minimal_nonfaces(rl.SimplicialComplex(big[:16], ((1, 2),)))[0] == (3,)
+    assert rl.beta_in_degree(rl.monomial_ideal([(1, 2)], ambient=big[:16]), 1, 2) == 1
+
+
 def test_alexander_dual_known():
     # dual of the boundary of the triangle is the complex whose single face
     # is empty; its SR ideal is generated by all three variables
@@ -111,12 +144,12 @@ def test_dual_sr_ideal_is_complement_facet_ideal():
 
 def test_deletion_contraction():
     cx = rl.from_facets(GAMMA)
-    dele = rl.deletion(cx, 1)
+    dele = deletion(cx, 1)
     assert (2, 3, 4) in dele.facets and all(1 not in f for f in dele.facets)
-    cont = rl.contraction(cx, 3)
+    cont = contraction(cx, 3)
     assert (1, 2) in cont.facets and all(3 not in f for f in cont.facets)
     with pytest.raises(rl.UnknownVertex):
-        rl.deletion(cx, 9)
+        deletion(cx, 9)
 
 
 def test_simplicial_and_free_vertices():

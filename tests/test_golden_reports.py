@@ -135,17 +135,31 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch):
     assert not changed, f"report bytes changed for {changed}"
 
 
-def test_empty_file_corpus_is_refused(tmp_path, monkeypatch):
+def test_unreadable_files_become_skips(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.txt").write_text("# no facets\n")
-    with pytest.raises(rl.EmptyInput, match="^a complex needs at least one face$"):
-        rl.verify("edge-count", ("files", ["empty.txt"]))
+    (tmp_path / "bad.json").write_text('{"facets": [[1, 2], [2, "x"]]}')
+    (tmp_path / "good.txt").write_text("1 2\n2 3\n")
+    report = rl.verify("edge-count", ("files", ["empty.txt", "bad.json", "good.txt"]))
+    assert report.instances == 3 and report.confirmations == 1
+    assert [s["document"] for s in report.skips] == [{"name": "empty.txt"}, {"name": "bad.json"}]
+    assert report.skips[0]["reason"] == "unreadable document: a complex needs at least one face"
+    assert report.skips[1]["reason"] == ("unreadable document: "
+                                         "vertices [2, 'x'] are not all positive integers")
+    with pytest.raises(FileNotFoundError):
+        rl.verify("edge-count", ("files", ["good.txt", "missing.txt"]))
 
 
 def test_analyze_budget_exhaustion_message():
     cx = rl.from_facets(ANALYZED["bd3"][0])
-    with pytest.raises(rl.BudgetExceeded, match="^search budget of 1 steps exhausted$"):
-        rl.analyze(cx, budget=1)
+    report = rl.analyze(cx, budget=1)
+    note = "search budget of 1 steps exhausted"
+    assert report["nt"]["max_disjoint"] is None and report["nt_note"] == note
+    assert report["beta2"]["predicted"]["max_disjoint"] is None
+    assert report["shellable"] is None and report["shellable_note"] == note
+    text = rl.render_analysis(report)
+    assert f"max_disjoint=None, isolated=0 ({note})" in text
+    assert f"shellable: None ({note})" in text
 
 
 if __name__ == "__main__":

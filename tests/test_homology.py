@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import ridgeline as rl
 from ridgeline import kernels, _gf2fallback
-from oracles import oracle_homology
+from ridgeline.algebra import _rational_ranks
+from ridgeline.complexes import facet_indicator, nonface_indicator
+from oracles import antichains, oracle_homology, oracle_independence_complex
 
 SPHERES = {
     1: [(1, 2), (1, 3), (2, 3)],
@@ -101,3 +103,40 @@ def test_property_homology_matches_oracle(n, d, r, seed):
 def test_support_cap_raises():
     with pytest.raises(rl.BudgetExceeded):
         rl.reduced_homology_ranks(rl.from_facets([list(range(1, 18))]))
+
+
+def _homology(fvec, ranks):
+    """Reduced homology ranks in dimensions -1..dim from a rank routine's
+    output, in the oracle's shape ([] for the complex with no faces)."""
+    sizes = [p for p, count in enumerate(fvec) if count]
+    return [fvec[p] - ranks[p] - ranks[p + 1] for p in range(max(sizes, default=-1) + 1)]
+
+
+def test_both_fields_match_oracle_exhaustive_n5():
+    # every complex on five vertices, read once as a facet family and once
+    # as the generators of the non-face route on the whole vertex set (whose
+    # faces are its independence complex); ranks are invariant under
+    # relabelling, so the oracle runs once per isomorphism class
+    from itertools import permutations
+
+    relabel = [[sum(1 << p[b] for b in range(5) if m >> b & 1) for m in range(32)]
+               for p in permutations(range(5))]
+    expected = {}
+    for family in antichains(range(1, 6)):
+        masks = _masks(family, 5)
+        key = min(tuple(sorted(tab[m] for m in masks)) for tab in relabel)
+        if key not in expected:
+            expected[key] = (
+                oracle_homology(family, "gf2"), oracle_homology(family, "rat"),
+                oracle_homology(oracle_independence_complex(family, range(1, 6)), "gf2"),
+                oracle_homology(oracle_independence_complex(family, range(1, 6)), "rat"))
+        got = (
+            _homology(*_gf2fallback.ranks_of_facet_complex(masks, 5)),
+            _homology(*_rational_ranks(facet_indicator(masks, 5), 5)),
+            _homology(*_gf2fallback.ranks_of_nonface_complex(masks, 31)),
+            _homology(*_rational_ranks(*nonface_indicator(masks, 31))))
+        assert got == expected[key], family
+        assert kernels.ranks_of_facet_complex(masks, 5) == _gf2fallback.ranks_of_facet_complex(masks, 5)
+        assert kernels.ranks_of_nonface_complex(masks, 31) == \
+            _gf2fallback.ranks_of_nonface_complex(masks, 31)
+    assert len(expected) == 210  # antichains on five points up to relabelling

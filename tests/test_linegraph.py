@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import ridgeline as rl
 from oracles import (
+    connected_labeled_graphs,
     oracle_beta,
     oracle_characterize_complete,
     oracle_classify_triangles,
@@ -134,14 +135,45 @@ def test_make_cycle_complex_padded_branch_is_complete():
 
 
 def test_realizability_search_small_targets():
-    # a path on three vertices is realizable as facet adjacency
-    found = rl.realizability_search(rl.path_graph(3), 2, max_vertices=8)
-    assert found is not None
-    assert rl.are_isomorphic(rl.line_graph(found).graph, rl.path_graph(3))
+    # a path on three vertices is realizable as facet adjacency, in either
+    # labelling; the witness maps vertex i to facet_of[i-1]
+    for g in (rl.path_graph(3), rl.Graph(3, [(1, 3), (2, 3)])):
+        found = rl.realizability_search(g, 2, max_vertices=6)
+        assert found.graph == g
+        assert oracle_ridge_edges(found.facet_of) == list(g.edges())
     # K_{1,3} is a line graph of a facet-size-2 family (three edges at a hub
     # cannot avoid mutual adjacency), so the claw must NOT be realizable
     assert rl.realizability_search(rl.Graph(4, [(1, 2), (1, 3), (1, 4)]), 2,
                                    max_vertices=9) is None
+
+
+def test_realizability_witnesses_realize_every_small_connected_graph():
+    # with max_vertices = d * r the search is complete; a connected graph
+    # with no witness is not the line graph of any facet-size-d family
+    unrealizable = {}
+    for d in (2, 3):
+        found = rl.realizability_search(rl.Graph(1), d, d)
+        assert found.facet_of == (tuple(range(1, d + 1)),)
+        for r in range(2, 6):
+            unrealizable[r, d] = 0
+            for _, edges in connected_labeled_graphs(r):
+                g = rl.Graph(r, edges)
+                found = rl.realizability_search(g, d, d * r)
+                if found is None:
+                    unrealizable[r, d] += 1
+                    continue
+                assert found.graph == g
+                assert all(len(f) == d for f in found.facet_of)
+                assert len(set(found.facet_of)) == r
+                assert oracle_ridge_edges(found.facet_of) == list(edges), (edges, found)
+    # r = 4, d = 2: the four labelled claws. r = 5, d = 3: the five labelled
+    # K_{1,4}, and 60 more graphs in four isomorphism classes, K_{2,3} among
+    # them (its three degree-2 facets must hold the three different ridges
+    # of one degree-3 facet, and then no other facet meets all three in a
+    # ridge). Brute force over every family of r distinct d-subsets of
+    # {1..d+r-1} gives the same counts.
+    assert unrealizable == {(2, 2): 0, (3, 2): 0, (4, 2): 4, (5, 2): 275,
+                            (2, 3): 0, (3, 3): 0, (4, 3): 0, (5, 3): 65}
 
 
 def test_edge_count_formula_internal_assertion_has_no_false_alarm(d3_corpus):
@@ -299,16 +331,23 @@ def test_shared_census_analyze_matches_count_nt():
     for corpus in SHARED_CENSUS_CORPORA[:2]:
         for _, cx in harness._iter_corpus(corpus, seed=12):
             for budget in (None, 1, 2, 3, 5, 8, 13, 21):
-                report = _outcome(rl.analyze, cx, "gf2", None, budget)
-                nt = _outcome(lambda: {i.value: rl.count_Nt(cx, i, budget) for i in _INTERPS})
-                if isinstance(nt, tuple):  # both run out of budget the same way
-                    assert report == nt, (cx, budget)
-                    continue
-                if isinstance(report, tuple):  # the later shelling search ran out
-                    assert report == _outcome(rl.is_shellable, cx, budget), (cx, budget)
-                    continue
+                # a search that runs out leaves None and its message as a note
+                report = rl.analyze(cx, "gf2", None, budget)
+                nt = {i.value: _outcome(rl.count_Nt, cx, i, budget) for i in _INTERPS}
+                notes = {n[1] for n in nt.values() if isinstance(n, tuple)}
+                assert notes == ({report["nt_note"]} if "nt_note" in report else set())
+                nt = {tag: None if isinstance(n, tuple) else n for tag, n in nt.items()}
                 edges = rl.edge_count_formula(cx)
                 assert report["nt"] == nt
-                assert report["beta2"]["predicted"] == {tag: edges - n for tag, n in nt.items()}
+                assert report["beta2"]["predicted"] == {
+                    tag: None if n is None else edges - n for tag, n in nt.items()}
+                try:
+                    shellable = rl.is_shellable(cx, budget) is not None
+                except rl.BudgetExceeded as exc:
+                    assert report["shellable"] is None
+                    assert report["shellable_note"] == str(exc)
+                else:
+                    assert report["shellable"] == shellable
+                    assert "shellable_note" not in report
                 assert report["triangles"] == [{"vertices": list(t), "type": kind.value}
                                                for t, kind in rl.classify_triangles(cx)]

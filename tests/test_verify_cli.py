@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ridgeline as rl
+from ridgeline import harness
 from ridgeline.cli import main
 from ridgeline.harness import verify
 
@@ -165,10 +166,12 @@ def test_cli_generate_round_trip(tmp_path, capsys):
     capsys.readouterr()
     files = sorted(out.glob("*.json"))
     assert len(files) == 3
-    for k, f in enumerate(files):
-        cx, name = rl.parse_document(f.read_bytes())
+    corpus = list(harness._iter_corpus(("random", 6, 3, 4, 3), 9))
+    for k, (f, (doc, cx)) in enumerate(zip(files, corpus)):
+        assert json.loads(f.read_bytes()) == doc
+        assert rl.parse_document(f.read_bytes()) == (cx, doc["name"])
         assert cx == rl.random_pure_complex(6, 3, 4, 9 * 1_000_003 + k)
-        assert name.startswith("random-6-3-4-seed")
+        assert doc["name"] == f"random-6-3-4-seed{9 * 1_000_003 + k}"
 
 
 def test_budget_env_variable(tmp_path, monkeypatch, capsys):
