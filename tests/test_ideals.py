@@ -219,16 +219,6 @@ def test_quotients_imply_linear_resolution_when_equigenerated():
         I = rl.monomial_ideal(gens)
         if rl.has_linear_quotients(I) is not None:
             assert rl.has_linear_resolution(I), gens
-    # a shelling exists exactly when the dual's Stanley-Reisner ideal has
-    # linear quotients (a shellable chain, and a non-shellable closed strip)
-    for facets, shellable in (([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)], True),
-                              ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)], False)):
-        cx = rl.from_facets(facets)
-        I = rl.stanley_reisner_ideal(rl.alexander_dual(cx))
-        assert (rl.is_shellable(cx) is not None) == shellable
-        assert (rl.has_linear_quotients(I) is not None) == shellable
-        if shellable:
-            assert rl.has_linear_resolution(I)
 
 
 def test_cohen_macaulay_examples():
@@ -259,6 +249,19 @@ def test_froberg_check_examples():
     assert rl.froberg_check(rl.cycle_graph(5))["agree"]
     res = rl.froberg_check(rl.cycle_graph(5))
     assert not res["linear_resolution"] and not res["complement_chordal"]
+
+
+def test_shellable_implies_quotients_report():
+    # a shelling exists exactly when the dual's Stanley-Reisner ideal has
+    # linear quotients (a shellable chain, and a non-shellable closed strip)
+    for facets, shellable in (([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)], True),
+                              ([(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)], False)):
+        cx = rl.from_facets(facets)
+        I = rl.stanley_reisner_ideal(rl.alexander_dual(cx))
+        assert (rl.is_shellable(cx) is not None) == shellable
+        assert (rl.has_linear_quotients(I) is not None) == shellable
+        if shellable:
+            assert rl.has_linear_resolution(I)
 
 
 @given(st.integers(3, 6), st.integers(1, 3), st.integers(1, 5), st.integers(0, 10 ** 6))
