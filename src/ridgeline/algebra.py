@@ -15,6 +15,12 @@ The subset walks themselves (face indicators, grouping faces by
 cardinality, the vertex cap) come from ``complexes``; the two fields differ
 only in the elimination step.
 
+A window's homology depends only on the restriction of the ideal to it, and
+restrictions repeat across the windows of one ideal and across the ideals of
+a corpus. The scan therefore keeps one bounded memo per field, keyed by the
+generators inside the window relabelled onto the window's positions in
+order; there is no cache of whole tables.
+
 On top of the table sit regularity, linear resolutions, linear quotients,
 the dual criterion for Cohen-Macaulayness and the chordal-complement test for
 edge ideals.
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -32,6 +37,7 @@ from . import kernels
 from .complexes import (
     SimplicialComplex,
     _check_ambient_cap,
+    _compressed,
     _faces_by_cardinality,
     _masks_of,
     alexander_dual,
@@ -225,6 +231,10 @@ class BettiTable:
         return dict(self.entries)
 
 
+_WINDOW_MEMO_CAP = 1 << 15  # windows per field; bounds the memo's memory
+_window_memos = {choice: {} for choice in FieldChoice}
+
+
 def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     """Reduced homology of the restriction to each window W of the generator
     support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
@@ -233,6 +243,17 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     that is not the union of the generators inside it is skipped: a vertex of
     W in none of them is a cone point, so the restriction is acyclic
     (Gasharov-Peeva-Welker, the lcm lattice).
+
+    ``hom`` depends only on the restriction of the ideal to W: the window
+    and the generators inside it. It is memoized per field, keyed by those
+    generators moved onto W's bit positions in order (``_compressed``), as a
+    sorted tuple of one small int per generator. The move is an
+    order-preserving relabelling of W onto 0..|W|-1, which preserves
+    homology over any field, and the moved masks are exactly what the
+    non-face indicator of W is built from, so equal keys mean equal ``hom``.
+    |W| is implied: the cover test makes the moved masks cover all |W|
+    positions. A ``hom`` enters the memo only after its ranks are checked,
+    and the memo is emptied when it reaches ``_WINDOW_MEMO_CAP`` entries.
     """
     _check_ambient_cap(len(ideal.ambient), "Hochster scan")
     supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
@@ -242,26 +263,42 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
         windows = range(1, 1 << s)
     else:
         windows = map(sum, combinations([1 << b for b in range(s)], size))
+    memo = _window_memos[field]
     for w_mask in windows:
         cover = 0
+        inside = []
         for gm in gen_masks:
             if not gm & ~w_mask:
                 cover |= gm
+                inside.append(gm)
         if cover != w_mask:
             continue
-        if field is FieldChoice.GF2:
-            fvec, ranks = kernels.ranks_of_nonface_complex(gen_masks, w_mask)
-        else:
-            fvec, ranks = _rational_ranks(*nonface_indicator(gen_masks, w_mask))
         j = w_mask.bit_count()
-        hom = [fvec[p] - ranks[p] - ranks[p + 1] for p in range(j + 1)]
-        if min(hom) < 0:
-            raise RidgelineError("negative homology rank: kernel inconsistency")
+        key = tuple(sorted(_compressed(inside, w_mask)))
+        hom = memo.get(key)
+        if hom is None:
+            if field is FieldChoice.GF2:
+                fvec, ranks = kernels.ranks_of_nonface_complex(gen_masks, w_mask)
+            else:
+                fvec, ranks = _rational_ranks(*nonface_indicator(gen_masks, w_mask))
+            hom = tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(j + 1))
+            if min(hom) < 0:
+                raise RidgelineError("negative homology rank: kernel inconsistency")
+            if len(memo) >= _WINDOW_MEMO_CAP:
+                memo.clear()
+            memo[key] = hom
         yield j, hom
 
 
-@lru_cache(maxsize=65536)
-def _betti_entries(ideal: MonomialIdeal, field: FieldChoice) -> tuple:
+def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
+    """Full graded Betti table of S/I by scanning vertex subsets.
+
+    Only windows that are the union of the generators they contain (the
+    lcm lattice) can carry homology, so only those are sent to a rank
+    routine; the implicit beta_{0,0} = 1 is not stored. The first syzygies
+    are checked against the generator count on every table.
+    """
+    field = _field(field)
     entries: dict = {}
     for j, hom in _hochster_scan(ideal, field):
         for i in range(1, j + 1):
@@ -270,18 +307,7 @@ def _betti_entries(ideal: MonomialIdeal, field: FieldChoice) -> tuple:
     gen_total = sum(rank for (i, _), rank in entries.items() if i == 1)
     if gen_total != len(ideal.generators):
         raise RidgelineError("first syzygies disagree with the generator count")
-    return tuple(sorted(entries.items()))
-
-
-def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
-    """Full graded Betti table of S/I by scanning vertex subsets.
-
-    Only windows that are the union of the generators they contain (the
-    lcm lattice) can carry homology, so only those are sent to a rank
-    routine; the implicit beta_{0,0} = 1 is not stored.
-    """
-    field = _field(field)
-    return BettiTable(_betti_entries(ideal, field), field)
+    return BettiTable(tuple(sorted(entries.items())), field)
 
 
 def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:

@@ -15,7 +15,8 @@ Every walk over the 2**n subsets of a vertex set goes through this module:
 marks the sets avoiding every generator inside a window, and
 ``_faces_by_cardinality`` groups the marked faces for the rank routines of
 both coefficient fields. ``_check_ambient_cap`` refuses such a walk over more
-than ``AMBIENT_CAP`` vertices.
+than ``AMBIENT_CAP`` vertices. ``_compressed`` moves masks onto the bits of a
+window, for the non-face indicator and for the Betti scan's memo key.
 """
 
 from __future__ import annotations
@@ -564,6 +565,45 @@ def facet_indicator(facet_masks, n: int) -> bytearray:
     return face
 
 
+def _byte_compressions() -> bytes:
+    """Entry ``w << 8 | m`` for bytes ``m`` inside ``w``: m moved onto w's
+    set bits in order."""
+    table = bytearray(1 << 16)
+    for w in range(256):
+        bits = [1 << b for b in range(8) if w >> b & 1]
+        sub = [0] * (1 << len(bits))
+        for c in range(1, len(sub)):
+            low = c & -c
+            sub[c] = sub[c ^ low] | bits[low.bit_length() - 1]
+            table[w << 8 | sub[c]] = c
+    return bytes(table)
+
+
+_BYTE_COMPRESSIONS = _byte_compressions()
+
+
+def _compressed(masks, w_mask: int) -> list:
+    """Each mask, a subset of ``w_mask``, moved onto w_mask's bits in order:
+    bit k of a result stands for the k-th lowest set bit of ``w_mask``. The
+    move is a table lookup per byte."""
+    table = _BYTE_COMPRESSIONS
+    if w_mask < 256:
+        base = w_mask << 8
+        return [table[base | m] for m in masks]
+    out = []
+    for m in masks:
+        c = 0
+        shift = 0
+        w = w_mask
+        while w:
+            c |= table[(w & 255) << 8 | m & 255] << shift
+            shift += (w & 255).bit_count()
+            w >>= 8
+            m >>= 8
+        out.append(c)
+    return out
+
+
 def nonface_indicator(gen_masks, w_mask: int):
     """Indicator of the restriction to W of the complex whose non-faces are
     the sets containing some generator mask, as ``(face, n)``.
@@ -575,25 +615,9 @@ def nonface_indicator(gen_masks, w_mask: int):
     n = w_mask.bit_count()
     if n > MAX_BITS:
         raise ValueError(f"window of {n} bits outside 0..{MAX_BITS}")
-    amb2c = {}
-    rest = w_mask
-    c = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        amb2c[low] = c
-        c += 1
     total = 1 << n
     face = bytearray(b"\x01") * total
-    for gm in gen_masks:
-        if gm & ~w_mask:
-            continue
-        cg = 0
-        g = gm
-        while g:
-            low = g & -g
-            g ^= low
-            cg |= 1 << amb2c[low]
+    for cg in _compressed([gm for gm in gen_masks if not gm & ~w_mask], w_mask):
         sup = (total - 1) ^ cg
         sub = sup
         while True:

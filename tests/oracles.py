@@ -10,7 +10,8 @@ search, independence complexes from subsets checked one by one, the
 chordal minor chase from deletions and contractions of explicit facet
 tuples, and the line-graph layer (ridge edges, ridge counts,
 triangle types, complete shapes) from pairwise intersections of facet sets.
-Slow on purpose; use only at unit-test scale.
+Slow on purpose; use only at unit-test scale. ``clear_window_memos`` gives
+the package's own cold route: a Betti scan after it takes every rank afresh.
 """
 
 from itertools import combinations, permutations
@@ -18,6 +19,7 @@ from itertools import combinations, permutations
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
+from ridgeline import algebra
 from ridgeline.complexes import SimplicialComplex
 from ridgeline.errors import UnknownVertex
 
@@ -93,6 +95,13 @@ def oracle_beta(generators, ambient, i, j, field="gf2"):
         if -1 <= t <= len(hom) - 2:
             total += hom[t + 1]
     return total
+
+
+def clear_window_memos():
+    """Empty the Hochster scan's window memo in both fields, so that the next
+    scan takes every rank again (the cold route)."""
+    for memo in algebra._window_memos.values():
+        memo.clear()
 
 
 def oracle_beta2_closed_form(facets, vertices):

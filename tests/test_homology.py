@@ -8,7 +8,13 @@ import ridgeline as rl
 from ridgeline import kernels, _gf2fallback
 from ridgeline.algebra import _rational_ranks
 from ridgeline.complexes import facet_indicator, nonface_indicator
-from oracles import antichains, oracle_homology, oracle_independence_complex
+from oracles import (
+    antichains,
+    clear_window_memos,
+    oracle_beta,
+    oracle_homology,
+    oracle_independence_complex,
+)
 
 SPHERES = {
     1: [(1, 2), (1, 3), (2, 3)],
@@ -38,16 +44,37 @@ def test_two_points():
     assert rl.reduced_homology_ranks(cx) == [0, 1]
 
 
+# minimal 6-vertex triangulation of the real projective plane: torsion
+# makes GF(2) and rational answers differ in dimension 1 and 2
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
 def test_torus_like_projective_plane_field_dependence():
-    # minimal 6-vertex triangulation of the real projective plane: torsion
-    # makes GF(2) and rational answers differ in dimension 1 and 2
-    rp2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-           (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
-    cx = rl.from_facets(rp2)
+    cx = rl.from_facets(RP2)
     assert rl.reduced_homology_ranks(cx, "gf2") == [0, 0, 1, 1]
     assert rl.reduced_homology_ranks(cx, "rational") == [0, 0, 0, 0]
-    assert oracle_homology(rp2, "gf2") == [0, 0, 1, 1]
-    assert oracle_homology(rp2, "rat") == [0, 0, 0, 0]
+    assert oracle_homology(RP2, "gf2") == [0, 0, 1, 1]
+    assert oracle_homology(RP2, "rat") == [0, 0, 0, 0]
+
+
+def test_window_memo_keeps_the_fields_apart():
+    # by Hochster, beta_{i,6} of the Stanley-Reisner ideal reads the
+    # homology of the whole projective plane, so beta_{3,6} and beta_{4,6}
+    # are 1 over GF(2) and 0 over the rationals; a memo shared by the two
+    # fields would hand the second field the first one's answer
+    I = rl.stanley_reisner_ideal(rl.from_facets(RP2))
+    expected = {}
+    for field, of in (("gf2", "gf2"), ("rational", "rat")):
+        expected[field] = [oracle_beta(I.generators, I.ambient, i, 6, of) for i in range(1, 7)]
+    assert expected == {"gf2": [0, 0, 1, 1, 0, 0], "rational": [0] * 6}
+    for order in (("gf2", "rational"), ("rational", "gf2")):
+        clear_window_memos()
+        for field in order:
+            table = rl.betti_table(I, field).as_dict()
+            assert [table.get((i, 6), 0) for i in range(1, 7)] == expected[field], order
+            assert [rl.beta_in_degree(I, i, 6, field)
+                    for i in range(1, 7)] == expected[field], order
 
 
 def _masks(facets, n):

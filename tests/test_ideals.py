@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
+from ridgeline import algebra
 from oracles import (
+    all_labeled_graphs,
+    clear_window_memos,
     oracle_beta,
     oracle_beta2_closed_form,
     oracle_is_cm_reisner,
@@ -147,7 +150,12 @@ def _relabelled_ideals(draw):
 def test_property_table_invariant_under_relabelling(pair):
     original, moved = pair
     for field in ("gf2", "rational"):
-        assert rl.betti_table(moved, field).entries == rl.betti_table(original, field).entries
+        # cold before each call, so the second table is not read off the
+        # first one's memo entries
+        clear_window_memos()
+        expected = rl.betti_table(original, field).entries
+        clear_window_memos()
+        assert rl.betti_table(moved, field).entries == expected
 
 
 def _closed_form_agrees(cx):
@@ -288,3 +296,78 @@ def test_property_gf2_table_matches_rational_on_linear_strand(n, d, r, seed):
     cx = rl.random_pure_complex(n, d, r, seed)
     I = rl.facet_ideal(cx)
     assert rl.beta_in_degree(I, 2, d + 1, "gf2") == rl.beta_in_degree(I, 2, d + 1, "rational")
+
+
+def _memo_corpus():
+    """Every facet ideal of a family of d-subsets of {1..5}, any d, and every
+    edge ideal of a labelled graph on at most 5 vertices."""
+    from math import comb
+
+    ideals = [rl.facet_ideal(cx) for d in range(1, 6)
+              for cx in rl.enumerate_pure_complexes(5, d, comb(5, d))]
+    ideals += [rl.edge_ideal(rl.Graph(n, es)) for n in range(1, 6)
+               for _, es in all_labeled_graphs(n)]
+    return ideals
+
+
+def _betti_answers(I, field):
+    """The whole table and every single-degree value of one ideal."""
+    top = len(I.ambient)
+    return (rl.betti_table(I, field).entries,
+            tuple(rl.beta_in_degree(I, i, j, field)
+                  for j in range(1, top + 1) for i in range(1, j + 1)))
+
+
+def test_window_memo_matches_cold_route_exhaustive_n5():
+    ideals = _memo_corpus()
+    for field, of in (("gf2", "gf2"), ("rational", "rat")):
+        clear_window_memos()
+        warm = [_betti_answers(I, field) for I in ideals]  # one memo for the corpus
+        for k, (I, answers) in enumerate(zip(ideals, warm)):
+            clear_window_memos()
+            assert _betti_answers(I, field) == answers, (I, field)
+            if k % 97 == 0:
+                table = dict(answers[0])
+                for j in range(1, len(I.ambient) + 1):
+                    for i in range(1, j + 1):
+                        assert table.get((i, j), 0) == oracle_beta(
+                            I.generators, I.ambient, i, j, of), (I, field, i, j)
+
+
+class _SizeWatch(dict):
+    """A memo that records the most entries it ever held."""
+
+    def __init__(self):
+        super().__init__()
+        self.most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+def test_window_memo_cap_bounds_its_size(monkeypatch):
+    ideals = _memo_corpus()[::7]
+    clear_window_memos()
+    expected = {field: [_betti_answers(I, field) for I in ideals]
+                for field in ("gf2", "rational")}
+    watched = {choice: _SizeWatch() for choice in rl.FieldChoice}
+    monkeypatch.setattr(algebra, "_WINDOW_MEMO_CAP", 8)
+    monkeypatch.setattr(algebra, "_window_memos", watched)
+    for field, answers in expected.items():
+        assert [_betti_answers(I, field) for I in ideals] == answers
+    assert [memo.most for memo in watched.values()] == [8, 8]
+
+
+def test_window_memo_key_of_a_16_vertex_window_is_small():
+    import sys
+
+    # the edge ideal of the 16-cycle: one window of all 16 vertices, whose
+    # restriction is the independence complex of C16, a 4-sphere up to
+    # homotopy (Kozlov), so beta_{11,16} = 1
+    I = rl.edge_ideal(rl.cycle_graph(16))
+    clear_window_memos()
+    assert rl.beta_in_degree(I, 11, 16, "gf2") == 1
+    (key,) = algebra._window_memos[rl.FieldChoice.GF2]
+    assert len(key) == 16
+    assert sys.getsizeof(key) + sum(map(sys.getsizeof, key)) < 1024
