@@ -3,7 +3,9 @@
 Row i of ``adj`` is an integer whose bit (v-1) is set when vertex i+1 is
 adjacent to vertex v. All algorithms here are exact and deterministic; the
 expensive ones (isomorphism, clique edge partitions, induced stars) take an
-optional budget measured in search states.
+optional budget measured in search states. The clique-partition search keeps
+its uncovered edges in the same form: residual rows, a copy of ``adj`` from
+which each chosen clique's mask is cleared at its own vertices.
 """
 
 from __future__ import annotations
@@ -221,11 +223,17 @@ def triangle_count(g: Graph) -> int:
     return len(triangles(g))
 
 
+def _check_count(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameters(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise BadParameters(f"{what} must be nonnegative")
+
+
 def has_induced_star(g: Graph, leaves: int, budget: int | None = None) -> bool:
     """Whether some vertex has an independent set of the given size in its
     neighborhood (an induced complete bipartite star with that many leaves)."""
-    if leaves < 0:
-        raise BadParameters("leaf count must be nonnegative")
+    _check_count(leaves, "leaf count")
     if leaves == 0:
         return g.order > 0
     b = Budget(budget)
@@ -254,123 +262,65 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
     """Partition the edges into cliques so that each vertex lies in at most
     ``max_per_vertex`` of them; None when impossible.
 
-    Exact backtracking: pick the smallest uncovered edge, try every clique
-    through it whose edges are all uncovered, recurse. Vertices that hit the
-    per-vertex cap while uncovered edges remain at them prune the branch.
+    Exact backtracking over residual adjacency rows: bit (v-1) of ``rest[u-1]``
+    is set while the edge {u, v} is uncovered. The smallest uncovered edge
+    (a, b) has a the lowest vertex with a nonzero row and b the lowest bit of
+    that row. The cliques through it draw from the common residual neighbours
+    of a and b still under the cap, in ascending order; v extends a clique
+    mask when ``mask & ~rest[v-1] == 0``. They are tried largest first, equal
+    sizes in depth-first order. Covering a clique clears its mask from the
+    rows of its vertices, and a vertex at the cap whose row is still nonzero
+    prunes the branch.
     """
-    if max_per_vertex < 0:
-        raise BadParameters("per-vertex clique cap must be nonnegative")
-    edges = list(g.edges())
-    if not edges:
+    _check_count(max_per_vertex, "per-vertex clique cap")
+    cap = max_per_vertex
+    rest = list(g.adj)
+    if not any(rest):
         return ()
-    index = {e: k for k, e in enumerate(edges)}
-    m = len(edges)
     b = Budget(budget)
     counts = [0] * (g.order + 1)
     chosen: list = []
 
-    def cliques_through(a: int, bept: int, covered: int):
-        """Maximal-first enumeration of cliques on edge (a, b) whose edges are
-        all uncovered; yields vertex masks."""
-        base = (1 << (a - 1)) | (1 << (bept - 1))
-        cand_mask = g.adj[a - 1] & g.adj[bept - 1]
-        cands = []
-        rest = cand_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()
-            e1 = (min(a, v), max(a, v))
-            e2 = (min(bept, v), max(bept, v))
-            if covered >> index[e1] & 1 or covered >> index[e2] & 1:
-                continue
-            if counts[v] >= max_per_vertex:
-                continue
-            cands.append(v)
-        out = []
+    def grow(mask: int, pool: list, out: list) -> None:
+        out.append(mask)
+        for pos, v in enumerate(pool):
+            if not mask & ~rest[v - 1]:
+                grow(mask | 1 << (v - 1), pool[pos + 1:], out)
 
-        def grow(mask: int, pool: list):
-            out.append(mask)
-            for pos, v in enumerate(pool):
-                ok = True
-                mv = mask
-                while mv:
-                    low = mv & -mv
-                    mv ^= low
-                    u = low.bit_length()
-                    if u == v:
-                        continue
-                    if not g.adj[u - 1] >> (v - 1) & 1:
-                        ok = False
-                        break
-                    e = (min(u, v), max(u, v))
-                    if covered >> index[e] & 1:
-                        ok = False
-                        break
-                if ok:
-                    grow(mask | 1 << (v - 1), pool[pos + 1:])
-
-        try:
-            grow(base, cands)
-        finally:
-            del grow  # break the closure's cycle through its own cell
-        # larger cliques first: fewer pieces tends to satisfy the cap sooner
-        out.sort(key=lambda msk: -msk.bit_count())
-        seen = set()
-        uniq = [msk for msk in out if not (msk in seen or seen.add(msk))]
-        return uniq
-
-    def clique_edges(mask: int) -> tuple:
-        vs = _bits(mask)
-        return tuple((u, v) for u, v in combinations(vs, 2))
-
-    def solve(covered: int) -> bool:
-        if covered == (1 << m) - 1:
+    def solve(lo: int) -> bool:
+        # rows below lo are empty, and covering only clears bits
+        for a in range(lo, g.order + 1):
+            row = rest[a - 1]
+            if row:
+                break
+        else:
             return True
         b.spend()
-        first = None
-        for k in range(m):
-            if not covered >> k & 1:
-                first = edges[k]
-                break
-        a, bv = first
-        if counts[a] >= max_per_vertex or counts[bv] >= max_per_vertex:
+        bv = (row & -row).bit_length()
+        if counts[a] >= cap or counts[bv] >= cap:
             return False
-        for mask in cliques_through(a, bv, covered):
-            es = clique_edges(mask)
-            new_cov = covered
-            for e in es:
-                new_cov |= 1 << index[e]
+        cands = [v for v in _bits(row & rest[bv - 1]) if counts[v] < cap]
+        cliques: list = []
+        grow((1 << (a - 1)) | (1 << (bv - 1)), cands, cliques)
+        # larger cliques first: fewer pieces tends to satisfy the cap sooner
+        cliques.sort(key=int.bit_count, reverse=True)
+        for mask in cliques:
             vs = _bits(mask)
             for v in vs:
                 counts[v] += 1
-            stuck = False
-            for v in vs:
-                if counts[v] == max_per_vertex:
-                    row = g.adj[v - 1]
-                    while row:
-                        low = row & -row
-                        row ^= low
-                        u = low.bit_length()
-                        e = (min(u, v), max(u, v))
-                        if not new_cov >> index[e] & 1:
-                            stuck = True
-                            break
-                    if stuck:
-                        break
-            if not stuck and solve(new_cov):
+                rest[v - 1] &= ~mask
+            if not any(counts[v] == cap and rest[v - 1] for v in vs) and solve(a):
                 chosen.append(vs)
-                for v in vs:
-                    counts[v] -= 1
                 return True
             for v in vs:
                 counts[v] -= 1
+                rest[v - 1] |= mask ^ 1 << (v - 1)
         return False
 
     try:
-        found = solve(0)
+        found = solve(1)
     finally:
-        del solve  # break the closure's cycle through its own cell
+        del grow, solve  # break the closures' cycles through their own cells
     if found:
         chosen.reverse()
         return tuple(chosen)

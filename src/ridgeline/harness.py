@@ -520,6 +520,8 @@ def _iter_corpus(corpus, seed, budget=None):
     kind = corpus[0]
     if kind == "random":
         _, n, d, r, trials = corpus
+        if trials < 0:
+            raise BadParameters(f"trial count must be nonnegative, got {trials}")
         for t in range(trials):
             sub_seed = seed * 1_000_003 + t
             cx = random_pure_complex(n, d, r, sub_seed)

@@ -10,6 +10,8 @@ search, independence complexes from subsets checked one by one, the
 chordal minor chase from deletions and contractions of explicit facet
 tuples, and the line-graph layer (ridge edges, ridge counts,
 triangle types, complete shapes) from pairwise intersections of facet sets.
+Clique edge partitions come from the earlier edge-indexed search, which the
+package's residual-row search must match step for step.
 Slow on purpose; use only at unit-test scale. ``clear_window_memos`` gives
 the package's own cold route: a Betti scan after it takes every rank afresh.
 """
@@ -21,7 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from ridgeline import algebra
 from ridgeline.complexes import SimplicialComplex
-from ridgeline.errors import UnknownVertex
+from ridgeline.errors import BadParameters, Budget, UnknownVertex
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,133 @@ def oracle_triangles(n, edges):
     es = {frozenset(e) for e in edges}
     return sorted(t for t in combinations(range(1, n + 1), 3)
                   if all(frozenset(p) in es for p in combinations(t, 2)))
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def oracle_clique_edge_partition(g, max_per_vertex, budget=None):
+    """The edge-indexed clique-partition search, kept as the reference for
+    ``graphs.clique_edge_partition``: uncovered edges are bits of one mask
+    over the sorted edge list. Returns ``(partition or None, steps)``, where
+    steps counts ``Budget.spend`` calls; raises BudgetExceeded at the same
+    step as the package's search must."""
+    if max_per_vertex < 0:
+        raise BadParameters("per-vertex clique cap must be nonnegative")
+    edges = list(g.edges())
+    if not edges:
+        return (), 0
+    index = {e: k for k, e in enumerate(edges)}
+    m = len(edges)
+    b = Budget(budget)
+    counts = [0] * (g.order + 1)
+    chosen: list = []
+
+    def cliques_through(a: int, bept: int, covered: int):
+        """Maximal-first enumeration of cliques on edge (a, b) whose edges are
+        all uncovered; yields vertex masks."""
+        base = (1 << (a - 1)) | (1 << (bept - 1))
+        cand_mask = g.adj[a - 1] & g.adj[bept - 1]
+        cands = []
+        rest = cand_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length()
+            e1 = (min(a, v), max(a, v))
+            e2 = (min(bept, v), max(bept, v))
+            if covered >> index[e1] & 1 or covered >> index[e2] & 1:
+                continue
+            if counts[v] >= max_per_vertex:
+                continue
+            cands.append(v)
+        out = []
+
+        def grow(mask: int, pool: list):
+            out.append(mask)
+            for pos, v in enumerate(pool):
+                ok = True
+                mv = mask
+                while mv:
+                    low = mv & -mv
+                    mv ^= low
+                    u = low.bit_length()
+                    if u == v:
+                        continue
+                    if not g.adj[u - 1] >> (v - 1) & 1:
+                        ok = False
+                        break
+                    e = (min(u, v), max(u, v))
+                    if covered >> index[e] & 1:
+                        ok = False
+                        break
+                if ok:
+                    grow(mask | 1 << (v - 1), pool[pos + 1:])
+
+        grow(base, cands)
+        # larger cliques first: fewer pieces tends to satisfy the cap sooner
+        out.sort(key=lambda msk: -msk.bit_count())
+        seen = set()
+        uniq = [msk for msk in out if not (msk in seen or seen.add(msk))]
+        return uniq
+
+    def clique_edges(mask: int) -> tuple:
+        vs = _bits(mask)
+        return tuple((u, v) for u, v in combinations(vs, 2))
+
+    def solve(covered: int) -> bool:
+        if covered == (1 << m) - 1:
+            return True
+        b.spend()
+        first = None
+        for k in range(m):
+            if not covered >> k & 1:
+                first = edges[k]
+                break
+        a, bv = first
+        if counts[a] >= max_per_vertex or counts[bv] >= max_per_vertex:
+            return False
+        for mask in cliques_through(a, bv, covered):
+            es = clique_edges(mask)
+            new_cov = covered
+            for e in es:
+                new_cov |= 1 << index[e]
+            vs = _bits(mask)
+            for v in vs:
+                counts[v] += 1
+            stuck = False
+            for v in vs:
+                if counts[v] == max_per_vertex:
+                    row = g.adj[v - 1]
+                    while row:
+                        low = row & -row
+                        row ^= low
+                        u = low.bit_length()
+                        e = (min(u, v), max(u, v))
+                        if not new_cov >> index[e] & 1:
+                            stuck = True
+                            break
+                    if stuck:
+                        break
+            if not stuck and solve(new_cov):
+                chosen.append(vs)
+                for v in vs:
+                    counts[v] -= 1
+                return True
+            for v in vs:
+                counts[v] -= 1
+        return False
+
+    if solve(0):
+        chosen.reverse()
+        return tuple(chosen), b.used
+    return None, b.used
 
 
 def oracle_cycle_lengths(n, edges):

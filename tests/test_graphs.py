@@ -1,17 +1,22 @@
 """Graph layer: connectivity, chordality, stars, clique partitions, iso."""
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeline as rl
 from oracles import (
     all_labeled_graphs,
     oracle_chordal_graph,
+    oracle_clique_edge_partition,
     oracle_cycle_lengths,
     oracle_induced_cycle_lengths,
     oracle_triangles,
 )
+from ridgeline.harness import _iter_corpus, _ridge_graph
 
 
 def test_graph_basics():
@@ -114,6 +119,81 @@ def test_clique_edge_partition():
     # claw under cap 3
     part = rl.clique_edge_partition(rl.Graph(4, [(1, 2), (1, 3), (1, 4)]), 3)
     assert part is not None and len(part) == 3
+
+
+def test_counts_must_be_integers():
+    for bad in (1.5, 2.0, True, False, "2", None):
+        with pytest.raises(rl.BadParameters):
+            rl.clique_edge_partition(rl.complete_graph(3), bad)
+        with pytest.raises(rl.BadParameters):
+            rl.has_induced_star(rl.complete_graph(3), bad)
+    with pytest.raises(rl.BadParameters, match="nonnegative"):
+        rl.clique_edge_partition(rl.complete_graph(3), -1)
+    with pytest.raises(rl.BadParameters, match="nonnegative"):
+        rl.has_induced_star(rl.complete_graph(3), -1)
+
+
+def _partition_and_steps(g, cap):
+    """clique_edge_partition's result and its number of Budget.spend calls."""
+    calls = 0
+    spend = rl.Budget.spend
+
+    def counting(self, amount=1):
+        nonlocal calls
+        calls += 1
+        spend(self, amount)
+
+    rl.Budget.spend = counting
+    try:
+        return rl.clique_edge_partition(g, cap), calls
+    finally:
+        rl.Budget.spend = spend
+
+
+def _assert_partition_matches_oracle(g, cap):
+    """Same partition and step count as the edge-indexed search, and under
+    budgets below the step count both run out at the same step."""
+    want = oracle_clique_edge_partition(g, cap)
+    assert _partition_and_steps(g, cap) == want, (g, cap)
+    part, steps = want
+    for limit in {1, steps // 2, steps - 1, steps}:
+        if limit < 1:
+            continue  # budgets are positive
+        if limit < steps:
+            with pytest.raises(rl.BudgetExceeded):
+                oracle_clique_edge_partition(g, cap, limit)
+            with pytest.raises(rl.BudgetExceeded):
+                rl.clique_edge_partition(g, cap, limit)
+        else:
+            assert rl.clique_edge_partition(g, cap, limit) == part
+
+
+def test_clique_partition_matches_oracle_exhaustive():
+    for n in range(1, 6):
+        for n_, edges in all_labeled_graphs(n):
+            g = rl.Graph(n_, edges)
+            for cap in range(4):
+                _assert_partition_matches_oracle(g, cap)
+
+
+def test_clique_partition_matches_oracle_on_ridge_graphs():
+    for corpus, seed in ((("random", 10, 3, 60, 20), 4), (("random", 12, 3, 30, 20), 9)):
+        for _, cx in _iter_corpus(corpus, seed):
+            _assert_partition_matches_oracle(_ridge_graph(cx), rl.facet_size(cx))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pool = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return rl.Graph(n, edges)
+
+
+@given(small_graphs(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_clique_partition_matches_oracle_sampled(g, cap):
+    _assert_partition_matches_oracle(g, cap)
 
 
 def test_line_graph_of_graph_matches_complex_route():

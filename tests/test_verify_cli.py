@@ -1,8 +1,13 @@
 """Verification harness semantics and the command-line surface."""
 
 import json
+import tempfile
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeline as rl
 from ridgeline import harness
@@ -157,6 +162,40 @@ def test_cli_usage_and_budget_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "deltac", "--random", "bad"])
     assert exc.value.code == 2
+
+
+def test_cli_refuses_negative_trial_counts(tmp_path, capsys):
+    assert main(["verify", "--theorem", "clique-partition", "--random", "5,2,1,-1"]) == 2
+    assert "trial count" in capsys.readouterr().err
+    out = tmp_path / "corpus"
+    assert main(["generate", "--n", "5", "--d", "2", "--r", "1", "--count", "-2",
+                 "--out", str(out)]) == 2
+    assert "trial count" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+    with pytest.raises(rl.BadParameters):
+        verify("star-free", ("random", 5, 2, 1, -1))
+
+
+def _verdicts(theorem, facets, path):
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    rep = verify(theorem, ("files", (str(path),)), stable_time=True)
+    return (rep.confirmations, [c["diagnostic"] for c in rep.counterexamples],
+            [s["reason"] for s in rep.skips])
+
+
+@given(st.integers(4, 9), st.integers(2, 4), st.integers(1, 14), st.integers(0, 10 ** 6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_property_line_graph_verdicts_invariant_under_relabelling(n, d, r, seed, rnd):
+    facets = rl.random_pure_complex(n, d, min(r, comb(n, d)), seed).facets
+    labels = rnd.sample(range(1, 3 * n), n)
+    moved = [rnd.sample([labels[v - 1] for v in f], d) for f in facets]
+    rnd.shuffle(moved)
+    with tempfile.TemporaryDirectory() as tmp:
+        for theorem in ("clique-partition", "star-free"):
+            # a witness partition may differ; the verdict and its diagnostic may not
+            assert (_verdicts(theorem, facets, Path(tmp) / "a.txt")
+                    == _verdicts(theorem, moved, Path(tmp) / "b.txt")), theorem
 
 
 def test_cli_generate_round_trip(tmp_path, capsys):
