@@ -7,8 +7,8 @@ the sets containing a generator of I. Only a W that is the union of the
 generators inside it (an element of the lcm lattice) can contribute; any
 other W has a cone point, so one scan serves the whole table and single
 degrees and skips such W before any rank is taken. Ranks come from
-boundary-matrix ranks, over GF(2) through the selected kernel (compiled or
-pure) and over the rationals through exact fraction-free integer
+boundary-matrix ranks, over GF(2) through the bit-row elimination in
+``kernels`` and over the rationals through exact fraction-free integer
 elimination.
 
 The subset walks themselves (face indicators, grouping faces by

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .algebra import beta_in_degree, betti_table, facet_ideal
@@ -163,10 +164,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(max(args.count - 1, 0))))
-    corpus = ("random", args.n, args.d, args.r, args.count)
-    for k, (doc, cx) in enumerate(_iter_corpus(corpus, args.seed)):
+    corpus = _iter_corpus(("random", args.n, args.d, args.r, args.count), args.seed)
+    # bad parameters raise on the first draw, before DIR exists
+    first = list(islice(corpus, 1))
+    out.mkdir(parents=True, exist_ok=True)
+    for k, (doc, cx) in enumerate(chain(first, corpus)):
         path = out / f"complex_{k:0{width}d}.json"
         path.write_bytes(serialize_complex(cx, doc["name"]))
         sys.stdout.write(f"{path}\n")

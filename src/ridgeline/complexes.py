@@ -612,6 +612,8 @@ def nonface_indicator(gen_masks, w_mask: int):
     not contained in ``w_mask`` cannot occur inside such a subset and are
     ignored. Masks are compressed onto the n bits of ``w_mask``.
     """
+    if w_mask < 0:
+        raise ValueError(f"window mask {w_mask} is negative")
     n = w_mask.bit_count()
     if n > MAX_BITS:
         raise ValueError(f"window of {n} bits outside 0..{MAX_BITS}")

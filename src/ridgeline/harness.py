@@ -396,11 +396,7 @@ def _check_clique_partition(cx, field, budget):
 def _check_c3(cx, field, budget):
     if cx.facet_count != 3:
         return SKIP, "needs exactly three facets"
-    shape = characterize_complete(cx)
-    complete = _is_complete(cx)
-    if complete == (shape != NEITHER):
-        return CONFIRMED, {"shape": shape}
-    return COUNTEREXAMPLE, {"shape": shape, "line_graph_complete": complete}
+    return _check_complete(cx, field, budget)
 
 
 def _check_complete(cx, field, budget):

@@ -1,16 +1,17 @@
-"""Homology ranks: kernel contract, compiled vs pure agreement, oracle."""
+"""Homology ranks: the GF(2) kernel contract, both fields against the oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
-from ridgeline import kernels, _gf2fallback
+from ridgeline import kernels
 from ridgeline.algebra import _rational_ranks
 from ridgeline.complexes import facet_indicator, nonface_indicator
 from oracles import (
     antichains,
     clear_window_memos,
+    faces_of,
     oracle_beta,
     oracle_homology,
     oracle_independence_complex,
@@ -90,31 +91,6 @@ def test_kernel_contract_facet_complex():
     assert ranks[2] == 3  # edge boundary: vertices minus components
 
 
-def test_compiled_and_fallback_agree():
-    if not rl.COMPILED:
-        pytest.skip("compiled kernel unavailable; only the fallback is present")
-    import random
-
-    rng = random.Random(7)
-    from itertools import combinations
-
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        d = rng.randint(1, n)
-        pool = list(combinations(range(1, n + 1), d))
-        r = rng.randint(1, min(6, len(pool)))
-        facets = rng.sample(pool, r)
-        masks = _masks(facets, n)
-        assert kernels.ranks_of_facet_complex(masks, n) == \
-            _gf2fallback.ranks_of_facet_complex(masks, n)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        gens = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 5))]
-        w = rng.randint(1, (1 << n) - 1)
-        assert kernels.ranks_of_nonface_complex(gens, w) == \
-            _gf2fallback.ranks_of_nonface_complex(gens, w)
-
-
 @given(st.integers(3, 8), st.integers(1, 4), st.integers(1, 6), st.integers(0, 10 ** 6))
 @settings(max_examples=80, deadline=None)
 def test_property_homology_matches_oracle(n, d, r, seed):
@@ -158,12 +134,59 @@ def test_both_fields_match_oracle_exhaustive_n5():
                 oracle_homology(oracle_independence_complex(family, range(1, 6)), "gf2"),
                 oracle_homology(oracle_independence_complex(family, range(1, 6)), "rat"))
         got = (
-            _homology(*_gf2fallback.ranks_of_facet_complex(masks, 5)),
+            _homology(*kernels.ranks_of_facet_complex(masks, 5)),
             _homology(*_rational_ranks(facet_indicator(masks, 5), 5)),
-            _homology(*_gf2fallback.ranks_of_nonface_complex(masks, 31)),
+            _homology(*kernels.ranks_of_nonface_complex(masks, 31)),
             _homology(*_rational_ranks(*nonface_indicator(masks, 31))))
         assert got == expected[key], family
-        assert kernels.ranks_of_facet_complex(masks, 5) == _gf2fallback.ranks_of_facet_complex(masks, 5)
-        assert kernels.ranks_of_nonface_complex(masks, 31) == \
-            _gf2fallback.ranks_of_nonface_complex(masks, 31)
     assert len(expected) == 210  # antichains on five points up to relabelling
+
+
+def _vertices(mask):
+    return tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def _face_counts(facets, width):
+    counts = [0] * (width + 2)
+    for f in faces_of(facets):
+        counts[len(f)] += 1
+    return counts
+
+
+def test_kernel_contract_extremes():
+    # no vertex bits: the empty facet, or an empty window, leaves only the
+    # empty face; no facet at all leaves no face
+    assert kernels.ranks_of_facet_complex([0], 0) == ([1, 0], [0, 0])
+    assert kernels.ranks_of_nonface_complex([], 0) == ([1, 0], [0, 0])
+    assert kernels.ranks_of_facet_complex([], 0) == ([0, 0], [0, 0])
+    # the widest facet route allocates 2**20 indicator bytes
+    assert kernels.ranks_of_facet_complex([0b111 << 17], 20) == (
+        [1, 3, 3, 1] + [0] * 18, [0, 1, 2, 1] + [0] * 18)
+
+
+@pytest.mark.parametrize("entry, args", [
+    ("ranks_of_facet_complex", ([1], 21)),
+    ("ranks_of_nonface_complex", ([], (1 << 21) - 1)),
+    ("ranks_of_facet_complex", ([1 << 5], 5)),
+    ("ranks_of_facet_complex", ([-1], 5)),
+    ("ranks_of_facet_complex", ([1], -1)),
+    ("ranks_of_nonface_complex", ([], -3)),
+])
+def test_kernel_contract_rejects(entry, args):
+    with pytest.raises(ValueError):
+        getattr(kernels, entry)(*args)
+
+
+@given(st.integers(0, 6), st.lists(st.integers(0, 63), max_size=5), st.integers(0, 63))
+@settings(max_examples=120, deadline=None)
+def test_property_kernel_contract_matches_oracle(n, masks, w_mask):
+    facet_masks = [m & ((1 << n) - 1) for m in masks]
+    facets = [_vertices(m) for m in facet_masks]
+    fvec, ranks = kernels.ranks_of_facet_complex(facet_masks, n)
+    assert fvec == _face_counts(facets, n) and len(ranks) == n + 2
+    assert _homology(fvec, ranks) == oracle_homology(facets, "gf2")
+    # the non-face route ignores generators that leave the window
+    facets = oracle_independence_complex([_vertices(m) for m in masks], _vertices(w_mask))
+    fvec, ranks = kernels.ranks_of_nonface_complex(masks, w_mask)
+    assert fvec == _face_counts(facets, w_mask.bit_count()) and len(ranks) == len(fvec)
+    assert _homology(fvec, ranks) == oracle_homology(facets, "gf2")

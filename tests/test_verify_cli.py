@@ -171,9 +171,20 @@ def test_cli_refuses_negative_trial_counts(tmp_path, capsys):
     assert main(["generate", "--n", "5", "--d", "2", "--r", "1", "--count", "-2",
                  "--out", str(out)]) == 2
     assert "trial count" in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
     with pytest.raises(rl.BadParameters):
         verify("star-free", ("random", 5, 2, 1, -1))
+
+
+def test_cli_generate_makes_its_directory_only_for_good_parameters(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--n", "5", "--d", "0", "--r", "3", "--count", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(["generate", "--n", "5", "--d", "2", "--r", "3", "--count", "0",
+                 "--out", str(out)]) == 0
+    assert out.is_dir() and not list(out.iterdir())
 
 
 def _verdicts(theorem, facets, path):
