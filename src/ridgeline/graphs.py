@@ -223,9 +223,14 @@ def triangle_count(g: Graph) -> int:
     return len(triangles(g))
 
 
-def _check_count(value, what: str) -> None:
+def _check_int(value, what: str) -> None:
+    """Refuse anything but a plain int (a bool is not a count)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadParameters(f"{what} must be an integer, got {value!r}")
+
+
+def _check_count(value, what: str) -> None:
+    _check_int(value, what)
     if value < 0:
         raise BadParameters(f"{what} must be nonnegative")
 

@@ -60,6 +60,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _check_int,
     are_isomorphic,
     clique_edge_partition,
     complete_graph,
@@ -73,6 +74,7 @@ from .linegraph import (
     NEITHER,
     NtInterpretation,
     TriangleType,
+    _complete_shape,
     _is_complete,
     _nt_count,
     _ridge_adjacency,
@@ -170,6 +172,8 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
 
     Deterministic per seed; the ambient is the full vertex set {1..n}.
     """
+    for what, value in (("n", n), ("d", d), ("r", r)):
+        _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
     top = comb(n, d)
@@ -181,7 +185,8 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     # sampling indices draws exactly what sampling the list of all d-subsets
     # in lexicographic order would, without building that list
     picks = [_unrank_subset(k, n, d) for k in rng.sample(range(top), r)]
-    return from_facets(picks, ambient=range(1, n + 1))
+    # distinct sorted d-subsets form an antichain, so no re-maximalization
+    return SimplicialComplex(tuple(range(1, n + 1)), tuple(sorted(picks)))
 
 
 def _unrank_subset(k: int, n: int, d: int) -> tuple:
@@ -207,6 +212,8 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
     facet tuples. The ambient of each complex is its own support. The total
     count must fit the search budget up front.
     """
+    for what, value in (("n", n), ("d", d), ("r_max", r_max)):
+        _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
     if r_max < 1:
@@ -221,7 +228,9 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
     pool = list(combinations(range(1, n + 1), d))
     for r in range(1, min(r_max, top) + 1):
         for family in combinations(pool, r):
-            yield from_facets(family)
+            # distinct d-subsets drawn in pool order form a sorted antichain
+            support = tuple(sorted({v for f in family for v in f}))
+            yield SimplicialComplex(support, family)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +409,10 @@ def _check_c3(cx, field, budget):
 
 
 def _check_complete(cx, field, budget):
-    complete = _is_complete(cx)
+    d, masks, rows = _ridge_adjacency(cx)
+    complete = _is_complete(rows)
     try:
-        shape = characterize_complete(cx)
+        shape = _complete_shape(d, masks, rows)
     except RidgelineError as exc:
         return COUNTEREXAMPLE, {"error": str(exc)}
     if complete == (shape != NEITHER):
@@ -506,6 +516,9 @@ THEOREMS = {
 }
 
 
+_CORPUS_FIELDS = {"random": ("n", "d", "r", "trial count"), "exhaustive": ("n", "d", "r_max")}
+
+
 def _iter_corpus(corpus, seed, budget=None):
     """Yield (document, complex) pairs for a corpus spec tuple.
 
@@ -514,6 +527,12 @@ def _iter_corpus(corpus, seed, budget=None):
     instance rather than the run; a file that cannot be read still raises.
     """
     kind = corpus[0]
+    if kind in _CORPUS_FIELDS:
+        fields = _CORPUS_FIELDS[kind]
+        if len(corpus) != len(fields) + 1:
+            raise BadParameters(f"a {kind} corpus is ({kind!r}, {', '.join(fields)}), got {corpus!r}")
+        for what, value in zip(fields, corpus[1:]):
+            _check_int(value, what)
     if kind == "random":
         _, n, d, r, trials = corpus
         if trials < 0:

@@ -93,9 +93,8 @@ def _ridge_adjacency(cx: SimplicialComplex) -> tuple:
     return d, masks, tuple(rows)
 
 
-def _is_complete(cx: SimplicialComplex) -> bool:
-    """Whether every two facets meet in a ridge (the line graph is complete)."""
-    rows = _ridge_adjacency(cx)[2]
+def _is_complete(rows: tuple) -> bool:
+    """Whether ridge adjacency rows say every two facets meet in a ridge."""
     return all(row.bit_count() == len(rows) - 1 for row in rows)
 
 
@@ -227,8 +226,12 @@ def characterize_complete(cx: SimplicialComplex) -> str:
     vertices, one of the two shapes must apply; a Neither answer there is an
     internal contradiction and raises.
     """
-    d = _require_pure(cx)
-    masks = _masks_of(cx.facets, cx.support)
+    _require_pure(cx)
+    return _complete_shape(*_ridge_adjacency(cx))
+
+
+def _complete_shape(d: int, masks: tuple, rows: tuple) -> str:
+    """``characterize_complete`` on the output of ``_ridge_adjacency``."""
     r = len(masks)
     if r == 1:
         return CONE
@@ -240,7 +243,7 @@ def characterize_complete(cx: SimplicialComplex) -> str:
         return CONE
     if union.bit_count() <= d + 1:
         return SIMPLEX_SUBSETS
-    if r >= 4 and d >= 2 and _is_complete(cx):
+    if r >= 4 and d >= 2 and _is_complete(rows):
         raise RidgelineError("complete line graph on four or more facets fits neither shape")
     return NEITHER
 

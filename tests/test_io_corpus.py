@@ -2,6 +2,7 @@
 
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,23 @@ def test_random_pure_complex_matches_pool_draw():
                     assert rl.random_pure_complex(n, d, r, seed) == expect, (n, d, r, seed)
 
 
+def test_random_pure_complex_is_canonical_at_benchmark_sizes(monkeypatch):
+    """The draw is built without from_facets, so check that it is already in
+    from_facets' form on every benchmark ladder row and on whole pools."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    rows = {row for w in WORKLOADS.values() for row in w.ladder}
+    rows |= {(n, d, comb(n, d)) for n in range(1, 7) for d in range(1, n + 1)}
+    for n, d, r in sorted(rows):
+        for seed in range(50):
+            cx = rl.random_pure_complex(n, d, r, seed)
+            assert cx == rl.from_facets(cx.facets, ambient=range(1, n + 1)), (n, d, r, seed)
+            assert cx.facet_count == r
+            assert all(all(a < b for a, b in zip(f, f[1:])) for f in cx.facets)
+            assert all(f < g for f, g in zip(cx.facets, cx.facets[1:]))
+
+
 def test_random_pure_complex_huge_pool():
     # C(40, 20) is about 1.4e11 facets; only the three drawn are built
     cx = rl.random_pure_complex(40, 20, 3, 1)
@@ -92,6 +110,42 @@ def test_enumerate_pure_complexes_count_and_order():
     sizes = [cx.facet_count for cx in out]
     assert sizes == sorted(sizes)
     assert all(cx.ambient == cx.support for cx in out)
+
+
+def test_enumerate_pure_complexes_match_from_facets():
+    """Each complex is built without from_facets; it must equal what
+    from_facets makes of its facets, for every n <= 6 and d, with r_max as
+    large as a budget of 5000 complexes allows."""
+    budget = 5000
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            top = comb(n, d)
+            r_max = 1
+            while r_max < top and sum(comb(top, r) for r in range(1, r_max + 2)) <= budget:
+                r_max += 1
+            for cx in rl.enumerate_pure_complexes(n, d, r_max, budget):
+                assert cx == rl.from_facets(cx.facets), (n, d, r_max, cx)
+
+
+def test_corpus_parameters_must_be_integers():
+    for args in [(8, 3, 5.5, 1), (3, True, 2, 1), (8.0, 3, 5, 1), ("8", 3, 5, 1)]:
+        with pytest.raises(rl.BadParameters, match="must be an integer"):
+            rl.random_pure_complex(*args)
+    for args in [(4, 2, 2.0), (4, False, 2), (None, 2, 2)]:
+        with pytest.raises(rl.BadParameters, match="must be an integer"):
+            list(rl.enumerate_pure_complexes(*args))
+    for corpus in [("random", 8, 3, 5, 2.5), ("random", 8, 3, 5, True),
+                   ("random", 8.0, 3, 5, 0), ("exhaustive", 4, 2, 2.0)]:
+        with pytest.raises(rl.BadParameters, match="must be an integer"):
+            rl.verify("edge-count", corpus)
+    for corpus in [("random", 8, 3, 5), ("random", 8, 3, 5, 2, 1), ("exhaustive", 4, 2)]:
+        with pytest.raises(rl.BadParameters, match="corpus is"):
+            rl.verify("edge-count", corpus)
+    # the range messages are unchanged
+    with pytest.raises(rl.BadParameters, match="need 1 <= d <= n"):
+        rl.random_pure_complex(3, 0, 1, 1)
+    with pytest.raises(rl.BadParameters, match="trial count must be nonnegative, got -1"):
+        rl.verify("edge-count", ("random", 8, 3, 5, -1))
 
 
 def test_enumerate_budget():

@@ -13,8 +13,16 @@ from oracles import (
     oracle_ridge_counts,
     oracle_ridge_edges,
 )
-from ridgeline import harness
-from ridgeline.harness import _INTERPS, _check_betti2, _check_deltac, _is_complete, _ridge_graph
+from ridgeline import harness, linegraph
+from ridgeline.harness import (
+    _INTERPS,
+    _check_betti2,
+    _check_complete,
+    _check_deltac,
+    _is_complete,
+    _ridge_adjacency,
+    _ridge_graph,
+)
 
 BD3 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -227,7 +235,7 @@ def _assert_line_graph_layer_matches_oracles(cx):
             rl.characterize_complete(cx)
     else:
         assert rl.characterize_complete(cx) == shape, cx
-    assert _is_complete(cx) == (len(edges) == r * (r - 1) // 2)
+    assert _is_complete(_ridge_adjacency(cx)[2]) == (len(edges) == r * (r - 1) // 2)
     if len(cx.ambient) > d:
         assert _check_deltac(cx, None, None) == ("confirmed", None)
     else:
@@ -258,6 +266,24 @@ def sparse_pure_complexes(draw):
 @settings(max_examples=150, deadline=None)
 def test_line_graph_layer_matches_oracles_sparse(cx):
     _assert_line_graph_layer_matches_oracles(cx)
+
+
+def test_check_complete_builds_one_ridge_adjacency(monkeypatch):
+    calls = []
+    adjacency = harness._ridge_adjacency
+
+    def counted(cx):
+        calls.append(cx)
+        return adjacency(cx)
+
+    monkeypatch.setattr(harness, "_ridge_adjacency", counted)
+    monkeypatch.setattr(linegraph, "_ridge_adjacency", counted)
+    for cx in (rl.make_cone(5, 3), rl.make_simplex_subsets(3, 4), rl.from_facets(BD3[:3]),
+               rl.from_facets([[1, 2, 3], [3, 4, 5], [1, 4, 6], [2, 5, 6]]),
+               rl.random_pure_complex(10, 3, 30, 1)):
+        calls.clear()
+        assert _check_complete(cx, None, None)[0] == "confirmed"
+        assert calls == [cx]
 
 
 def test_deltac_reports_first_disagreeing_pair(monkeypatch):
