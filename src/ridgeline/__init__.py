@@ -33,21 +33,16 @@ from .complexes import (
     clutter,
     clutter_of_complex,
     complement_complex,
-    complexes_isomorphic,
     dimension,
     facet_size,
     from_facets,
-    has_free_vertex_property,
     independence_complex,
     is_chordal_complex,
-    is_face,
-    is_free_vertex,
     is_pure,
     is_shellable,
     is_simplicial_vertex,
     join,
     minimal_nonfaces,
-    simplicial_vertices,
     single_swap_order,
 )
 from .errors import (
@@ -69,19 +64,16 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    are_isomorphic,
     clique_edge_partition,
     complement,
     complete_graph,
     cycle_graph,
     diameter,
-    distance,
     has_induced_star,
     is_chordal_graph,
     is_connected,
     line_graph_of_graph,
     path_graph,
-    triangle_count,
     triangles,
 )
 from .harness import (

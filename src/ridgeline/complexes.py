@@ -145,11 +145,6 @@ def facet_size(cx: SimplicialComplex) -> int:
     return len(cx.facets[0])
 
 
-def is_face(cx: SimplicialComplex, face: Iterable[int]) -> bool:
-    fs = set(face)
-    return any(fs <= set(f) for f in cx.facets)
-
-
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes on disjoint ambient sets."""
     if a.is_empty or b.is_empty:
@@ -222,11 +217,6 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient, facets)
 
 
-def _free_bit(masks, bit: int) -> bool:
-    """Whether exactly one facet mask contains ``bit``."""
-    return sum(1 for m in masks if m & bit) == 1
-
-
 def _simplicial_bit(masks, bit: int) -> bool:
     """Whether every two facet masks through ``bit`` have a third facet mask
     inside their union without ``bit``. Only a facet avoiding ``bit`` can lie
@@ -244,30 +234,14 @@ def _simplicial_bit(masks, bit: int) -> bool:
     return True
 
 
-def _vertex_bit(cx: SimplicialComplex, v: int):
-    """The facet masks over the ambient and the bit of v."""
-    if v not in cx.ambient:
-        raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    return _masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)
-
-
-def is_free_vertex(cx: SimplicialComplex, v: int) -> bool:
-    """Whether v lies in exactly one facet."""
-    return _free_bit(*_vertex_bit(cx, v))
-
-
 def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
     """Whether every two distinct facets through v have a third facet inside
     their union with v removed. A vertex in at most one facet qualifies
     vacuously, so free vertices are always simplicial.
     """
-    return _simplicial_bit(*_vertex_bit(cx, v))
-
-
-def simplicial_vertices(cx: SimplicialComplex) -> tuple:
-    amb = cx.ambient
-    masks = _masks_of(cx.facets, amb)
-    return tuple(v for v in cx.support if _simplicial_bit(masks, 1 << amb.index(v)))
+    if v not in cx.ambient:
+        raise UnknownVertex(f"vertex {v} is not in the ambient set")
+    return _simplicial_bit(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v))
 
 
 def _contract(masks: frozenset, kept: list, bit: int) -> frozenset:
@@ -288,8 +262,8 @@ def _contract(masks: frozenset, kept: list, bit: int) -> frozenset:
     return frozenset(out)
 
 
-def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
-    """Shared recursion: does every minor keep a vertex with the given property?
+def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
+    """Whether every minor of the complex has a simplicial vertex.
 
     A minor is the frozenset of its facet bitmasks, bit i standing for the
     i-th smallest support vertex of the input; the facets must form an
@@ -298,8 +272,8 @@ def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
     deletion first; ambient vertices outside the support touch no facet and
     are dropped by any minor anyway. The memo is keyed by the frozenset, which
     determines the canonical facet tuple and back, and each new state spends
-    one budget step after the memo misses. Families with at most one facet
-    pass as base cases.
+    one budget step after the memo misses. Empty and single-facet families
+    count as chordal base cases.
     """
     spend = Budget(budget).spend
     memo: dict = {}
@@ -319,7 +293,7 @@ def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
             low = union & -union
             bits.append(low)
             union ^= low
-        ok = any(keeps_bit(masks, bit) for bit in bits)
+        ok = any(_simplicial_bit(masks, bit) for bit in bits)
         if ok:
             for bit in bits:
                 kept = [m for m in masks if not m & bit]
@@ -333,21 +307,6 @@ def _minor_chase(cx: SimplicialComplex, keeps_bit, budget: int | None) -> bool:
         return good(frozenset(_masks_of(cx.facets, cx.support)))
     finally:
         del good  # break the closure's cycle through its own cell, and the memo with it
-
-
-def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
-    """Whether every minor of the complex has a simplicial vertex.
-
-    Empty and single-facet complexes count as chordal base cases. The chase
-    state and memo key is the frozenset of facet bitmasks over the support;
-    each new minor state spends one budget step.
-    """
-    return _minor_chase(cx, _simplicial_bit, budget)
-
-
-def has_free_vertex_property(cx: SimplicialComplex, budget: int | None = None) -> bool:
-    """Whether every minor has a free vertex (a stronger form of chordality)."""
-    return _minor_chase(cx, _free_bit, budget)
 
 
 def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
@@ -468,64 +427,6 @@ def independence_complex(cl: Clutter) -> SimplicialComplex:
         if all(not independent[m | (1 << i)] for i in range(n) if not m >> i & 1):
             facets.append(_face_of(m, amb))
     return SimplicialComplex(amb, tuple(sorted(facets)))
-
-
-def complexes_isomorphic(a: SimplicialComplex, b: SimplicialComplex,
-                         budget: int | None = None) -> bool:
-    """Whether some support bijection maps one facet family onto the other.
-
-    Backtracking over vertex images with facet-degree pruning; intended for
-    the small complexes this package generates.
-    """
-    fa, fb = a.facets, b.facets
-    if len(fa) != len(fb):
-        return False
-    if sorted(map(len, fa)) != sorted(map(len, fb)):
-        return False
-    sa, sb = a.support, b.support
-    if len(sa) != len(sb):
-        return False
-
-    def degree_profile(facets, v):
-        return sorted(len(f) for f in facets if v in f)
-
-    prof_a = {v: degree_profile(fa, v) for v in sa}
-    prof_b = {v: degree_profile(fb, v) for v in sb}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return False
-
-    fb_set = set(fb)
-    bdg = Budget(budget)
-    assignment: dict = {}
-    used: set = set()
-
-    def feasible() -> bool:
-        for f in fa:
-            if all(v in assignment for v in f):
-                if tuple(sorted(assignment[v] for v in f)) not in fb_set:
-                    return False
-        return True
-
-    def place(idx: int) -> bool:
-        if idx == len(sa):
-            return True
-        v = sa[idx]
-        for w in sb:
-            if w in used or prof_a[v] != prof_b[w]:
-                continue
-            bdg.spend()
-            assignment[v] = w
-            used.add(w)
-            if feasible() and place(idx + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    try:
-        return place(0)
-    finally:
-        del place  # break the closure's cycle through its own cell
 
 
 def _masks_of(faces: Iterable[Iterable[int]], ambient: tuple) -> list:

@@ -1,8 +1,9 @@
 """Error taxonomy and search budgets.
 
 Every error raised on purpose by this package derives from RidgelineError, so
-callers can catch one type. Search-shaped operations (shelling, chordality,
-clique partitions, isomorphism, realizability) count the states they expand
+callers can catch one type. Search-shaped operations (shelling and linear
+quotients, the chordality minor chase, clique partitions, induced stars, the
+max-disjoint triangle count, realizability) count the states they expand
 against a budget and raise BudgetExceeded instead of running away. The budget
 resolves, in order: explicit argument, the FRL_BUDGET environment variable,
 the package default.
@@ -71,7 +72,7 @@ class UnknownTheorem(RidgelineError):
 def search_budget(override: int | None = None) -> int:
     """Resolve the step budget for a bounded search."""
     if override is not None:
-        if not isinstance(override, int) or override <= 0:
+        if isinstance(override, bool) or not isinstance(override, int) or override <= 0:
             raise BadParameters(f"budget must be a positive integer, got {override!r}")
         return override
     raw = os.environ.get(BUDGET_ENV_VAR)

@@ -2,15 +2,14 @@
 
 Row i of ``adj`` is an integer whose bit (v-1) is set when vertex i+1 is
 adjacent to vertex v. All algorithms here are exact and deterministic; the
-expensive ones (isomorphism, clique edge partitions, induced stars) take an
-optional budget measured in search states. The clique-partition search keeps
-its uncovered edges in the same form: residual rows, a copy of ``adj`` from
-which each chosen clique's mask is cleared at its own vertices.
+expensive ones (clique edge partitions, induced stars) take an optional
+budget measured in search states. The clique-partition search keeps its
+uncovered edges in the same form: residual rows, a copy of ``adj`` from which
+each chosen clique's mask is cleared at its own vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from math import inf
 from typing import Iterable, Optional
@@ -110,30 +109,6 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.order) - 1
 
 
-def distance(g: Graph, a: int, b: int):
-    """Number of edges on a shortest path; math.inf when none exists."""
-    g._check(a)
-    g._check(b)
-    if a == b:
-        return 0
-    seen = 1 << (a - 1)
-    frontier = seen
-    steps = 0
-    target = 1 << (b - 1)
-    while frontier:
-        steps += 1
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= g.adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        if frontier & target:
-            return steps
-        seen |= frontier
-    return inf
-
-
 def diameter(g: Graph):
     """Largest pairwise distance; inf when disconnected, 0 when order <= 1."""
     if g.order <= 1:
@@ -217,10 +192,6 @@ def triangles(g: Graph) -> tuple:
                 common ^= cl
                 out.append((a, b, cl.bit_length()))
     return tuple(out)
-
-
-def triangle_count(g: Graph) -> int:
-    return len(triangles(g))
 
 
 def _check_int(value, what: str) -> None:
@@ -343,63 +314,6 @@ def line_graph_of_graph(g: Graph) -> Graph:
             if set(es[i]) & set(es[j]):
                 out.append((i + 1, j + 1))
     return Graph(k, out)
-
-
-ISO_ORDER_CAP = 12
-
-
-def are_isomorphic(g: Graph, h: Graph, budget: int | None = None) -> bool:
-    """Graph isomorphism by backtracking with degree-profile pruning.
-
-    Refuses graphs beyond 12 vertices (this package only compares small
-    search artifacts).
-    """
-    if g.order != h.order:
-        return False
-    if max(g.order, h.order) > ISO_ORDER_CAP:
-        from .errors import BudgetExceeded
-
-        raise BudgetExceeded(f"isomorphism test capped at order {ISO_ORDER_CAP}")
-    if g.edge_count() != h.edge_count():
-        return False
-    n = g.order
-
-    def profile(gr: Graph, v: int) -> tuple:
-        degs = sorted(gr.adj[u - 1].bit_count() for u in _bits(gr.adj[v - 1]))
-        return (gr.adj[v - 1].bit_count(), tuple(degs))
-
-    pg = [profile(g, v) for v in range(1, n + 1)]
-    ph = [profile(h, v) for v in range(1, n + 1)]
-    if sorted(pg) != sorted(ph):
-        return False
-    b = Budget(budget)
-    image = [0] * (n + 1)
-    used = 0
-
-    def place(v: int, used_mask: int) -> bool:
-        if v > n:
-            return True
-        for w in range(1, n + 1):
-            if used_mask >> (w - 1) & 1 or pg[v - 1] != ph[w - 1]:
-                continue
-            ok = True
-            for u in range(1, v):
-                if g.adj[v - 1] >> (u - 1) & 1 != h.adj[w - 1] >> (image[u] - 1) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            b.spend()
-            image[v] = w
-            if place(v + 1, used_mask | 1 << (w - 1)):
-                return True
-            image[v] = 0
-        return False
-
-    try:
-        return place(1, used)
-    finally:
-        del place  # break the closure's cycle through its own cell
 
 
 def cycle_graph(n: int) -> Graph:

@@ -228,7 +228,7 @@ def oracle_is_cm_reisner(facets, field="gf2"):
 
 
 # ---------------------------------------------------------------------------
-# minors: simplicial and free vertices, the minor chase
+# minors: simplicial vertices, the minor chase
 
 def oracle_is_simplicial(facets, v):
     """Every two facets through v have a third facet inside their union
@@ -242,10 +242,6 @@ def oracle_is_simplicial(facets, v):
         if not any(f3 <= allowed for f3 in others):
             return False
     return True
-
-
-def oracle_is_free(facets, v):
-    return sum(1 for f in facets if v in f) == 1
 
 
 class OracleBudgetExceeded(Exception):
@@ -280,9 +276,9 @@ def contraction(cx, v):
     return SimplicialComplex(tuple(u for u in cx.ambient if u != v), _maximal_faces(stripped))
 
 
-def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
-    """Whether every deletion and contraction minor has a vertex passing
-    ``keeps``, as ``(verdict, steps)``.
+def oracle_minor_chase(facets, limit=None):
+    """Whether every deletion and contraction minor has a simplicial vertex,
+    as ``(verdict, steps)``.
 
     States are canonical facet tuples, memoized; families of at most one
     facet pass. Each new state counts one step after the memo misses, and the
@@ -304,7 +300,7 @@ def oracle_minor_chase(facets, keeps=oracle_is_simplicial, limit=None):
         if limit is not None and steps > limit:
             raise OracleBudgetExceeded(steps)
         support = sorted(set().union(*map(set, state)))
-        ok = any(keeps(state, v) for v in support)
+        ok = any(oracle_is_simplicial(state, v) for v in support)
         if ok:
             for v in support:
                 if not good(deletion(cx, v)) or not good(contraction(cx, v)):

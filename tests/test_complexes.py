@@ -11,7 +11,6 @@ from oracles import (
     contraction,
     deletion,
     oracle_independence_complex,
-    oracle_is_free,
     oracle_is_shellable,
     oracle_is_simplicial,
     oracle_minimal_nonfaces,
@@ -30,7 +29,6 @@ def test_from_facets_basics():
     assert rl.dimension(cx) == 1
     assert rl.is_pure(cx)
     assert rl.facet_size(cx) == 2
-    assert rl.is_face(cx, [2]) and rl.is_face(cx, []) and not rl.is_face(cx, [1, 3])
 
 
 def test_from_facets_maximalizes():
@@ -154,11 +152,12 @@ def test_deletion_contraction():
 
 def test_simplicial_and_free_vertices():
     cx = rl.from_facets(CHAIN5)
-    assert rl.is_free_vertex(cx, 1) and rl.is_free_vertex(cx, 7)
-    assert not rl.is_free_vertex(cx, 3)
-    assert rl.is_simplicial_vertex(cx, 1)
+    # free vertices (in exactly one facet) are simplicial
+    assert rl.is_simplicial_vertex(cx, 1) and rl.is_simplicial_vertex(cx, 7)
+    assert not rl.is_simplicial_vertex(cx, 3)
     # the counterexample complex has no simplicial vertex at all
-    assert rl.simplicial_vertices(rl.from_facets(GAMMA)) == ()
+    gamma = rl.from_facets(GAMMA)
+    assert not any(rl.is_simplicial_vertex(gamma, v) for v in gamma.support)
 
 
 def test_chordal_complex_examples():
@@ -171,11 +170,7 @@ def test_chordal_complex_examples():
         rl.from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]))
 
 
-CHASES = ((rl.is_chordal_complex, oracle_is_simplicial),
-          (rl.has_free_vertex_property, oracle_is_free))
-
-
-def _chase_and_steps(chase, cx, budget=None):
+def _chase_and_steps(cx, budget=None):
     """(verdict, Budget.spend calls), the verdict "exceeded" on BudgetExceeded."""
     steps = 0
     spend = Budget.spend
@@ -187,35 +182,32 @@ def _chase_and_steps(chase, cx, budget=None):
 
     Budget.spend = counting
     try:
-        return chase(cx, budget), steps
+        return rl.is_chordal_complex(cx, budget), steps
     except rl.BudgetExceeded:
         return "exceeded", steps
     finally:
         Budget.spend = spend
 
 
-def _oracle_chase(facets, keeps, limit=None):
+def _oracle_chase(facets, limit=None):
     try:
-        return oracle_minor_chase(facets, keeps, limit)
+        return oracle_minor_chase(facets, limit)
     except OracleBudgetExceeded as exc:
         return "exceeded", exc.args[0]
 
 
-def _assert_chases_match_oracle(cx):
-    for chase, keeps in CHASES:
-        verdict, steps = _oracle_chase(cx.facets, keeps)
-        assert _chase_and_steps(chase, cx) == (verdict, steps), (chase.__name__, cx)
-        for limit in {lim for lim in (1, steps // 2, steps - 1, steps) if lim >= 1}:
-            assert (_chase_and_steps(chase, cx, limit)
-                    == _oracle_chase(cx.facets, keeps, limit)), (chase.__name__, limit, cx)
+def _assert_chase_matches_oracle(cx):
+    verdict, steps = _oracle_chase(cx.facets)
+    assert _chase_and_steps(cx) == (verdict, steps), cx
+    for limit in {lim for lim in (1, steps // 2, steps - 1, steps) if lim >= 1}:
+        assert _chase_and_steps(cx, limit) == _oracle_chase(cx.facets, limit), (limit, cx)
     for v in cx.ambient:
         assert rl.is_simplicial_vertex(cx, v) == oracle_is_simplicial(cx.facets, v), (v, cx)
-        assert rl.is_free_vertex(cx, v) == oracle_is_free(cx.facets, v), (v, cx)
 
 
 def test_minor_chase_matches_oracle_exhaustive():
     for cx in rl.enumerate_pure_complexes(5, 3, 5):
-        _assert_chases_match_oracle(cx)
+        _assert_chase_matches_oracle(cx)
 
 
 @given(st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=5), min_size=1, max_size=7),
@@ -224,15 +216,14 @@ def test_minor_chase_matches_oracle_exhaustive():
 def test_minor_chase_matches_oracle_nonpure(family, extra):
     support = set().union(*family)
     cx = rl.from_facets(family, ambient=support | set(range(8, 8 + extra)))
-    _assert_chases_match_oracle(cx)
+    _assert_chase_matches_oracle(cx)
 
 
 def test_vertex_tests_reject_unknown_vertices():
     cx = rl.from_facets([[1, 2], [2, 3]], ambient=[1, 2, 3, 4])
-    assert rl.is_simplicial_vertex(cx, 4) and not rl.is_free_vertex(cx, 4)
-    for test in (rl.is_simplicial_vertex, rl.is_free_vertex):
-        with pytest.raises(rl.UnknownVertex):
-            test(cx, 5)
+    assert rl.is_simplicial_vertex(cx, 4)
+    with pytest.raises(rl.UnknownVertex):
+        rl.is_simplicial_vertex(cx, 5)
 
 
 def test_shellable_matches_textbook_oracle_exhaustive():
@@ -283,14 +274,6 @@ def test_independence_complex_and_clutter():
     assert ind.facets == ((1, 3), (2,))
     cx = rl.from_facets([[1, 2], [2, 3]])
     assert rl.clutter_of_complex(cx).circuits == cx.facets
-
-
-def test_complexes_isomorphic():
-    a = rl.from_facets([[1, 2, 3], [3, 4, 5]])
-    b = rl.from_facets([[9, 2, 7], [7, 5, 6]])
-    assert rl.complexes_isomorphic(a, b)
-    c = rl.from_facets([[1, 2, 3], [1, 2, 4]])
-    assert not rl.complexes_isomorphic(a, c)
 
 
 @given(st.integers(4, 7), st.integers(2, 3), st.integers(1, 5), st.integers(0, 10 ** 6))

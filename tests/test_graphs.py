@@ -1,4 +1,4 @@
-"""Graph layer: connectivity, chordality, stars, clique partitions, iso."""
+"""Graph layer: connectivity, chordality, stars, clique partitions."""
 
 import math
 from itertools import combinations
@@ -31,11 +31,9 @@ def test_graph_basics():
 def test_connectivity_and_distance():
     p4 = rl.path_graph(4)
     assert rl.is_connected(p4)
-    assert rl.distance(p4, 1, 4) == 3
     assert rl.diameter(p4) == 3
     two = rl.Graph(4, [(1, 2), (3, 4)])
     assert not rl.is_connected(two)
-    assert rl.distance(two, 1, 3) == math.inf
     assert rl.diameter(two) == math.inf
     assert rl.diameter(rl.Graph(1, [])) == 0
 
@@ -90,7 +88,6 @@ def test_chordal_graph_matches_bruteforce_sampled():
 def test_triangles():
     g = rl.Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (3, 5)])
     assert rl.triangles(g) == ((1, 2, 3), (3, 4, 5))
-    assert rl.triangle_count(g) == 2
     assert rl.triangles(g) == tuple(oracle_triangles(5, g.edges()))
 
 
@@ -204,14 +201,6 @@ def test_line_graph_of_graph_matches_complex_route():
             lg = rl.line_graph_of_graph(rl.Graph(n_, edges))
             cx = rl.from_facets(edges, ambient=range(1, n_ + 1))
             assert lg == rl.line_graph(cx).graph
-
-
-def test_are_isomorphic():
-    assert rl.are_isomorphic(rl.cycle_graph(5), rl.Graph(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)]))
-    assert not rl.are_isomorphic(rl.cycle_graph(6), rl.path_graph(6))
-    assert not rl.are_isomorphic(rl.cycle_graph(4), rl.cycle_graph(5))
-    with pytest.raises(rl.BudgetExceeded):
-        rl.are_isomorphic(rl.complete_graph(13), rl.complete_graph(13))
 
 
 def test_sw_cycle_lemma_small():

@@ -138,7 +138,8 @@ def test_corpus_parameters_must_be_integers():
                    ("random", 8.0, 3, 5, 0), ("exhaustive", 4, 2, 2.0)]:
         with pytest.raises(rl.BadParameters, match="must be an integer"):
             rl.verify("edge-count", corpus)
-    for corpus in [("random", 8, 3, 5), ("random", 8, 3, 5, 2, 1), ("exhaustive", 4, 2)]:
+    for corpus in [("random", 8, 3, 5), ("random", 8, 3, 5, 2, 1), ("exhaustive", 4, 2),
+                   (), ("files",), ("files", "abc")]:
         with pytest.raises(rl.BadParameters, match="corpus is"):
             rl.verify("edge-count", corpus)
     # the range messages are unchanged

@@ -90,7 +90,7 @@ def test_make_cone():
     cone = rl.make_cone(4, 3)
     assert cone.facets == ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6))
     g = rl.line_graph(cone).graph
-    assert rl.are_isomorphic(g, rl.complete_graph(4))
+    assert g == rl.complete_graph(4)
     with pytest.raises(rl.BadParameters):
         rl.make_cone(0, 3)
     with pytest.raises(rl.BadParameters):
@@ -100,7 +100,7 @@ def test_make_cone():
 def test_make_simplex_subsets():
     cx = rl.make_simplex_subsets(3, 4)
     assert cx.facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-    assert rl.are_isomorphic(rl.line_graph(cx).graph, rl.complete_graph(4))
+    assert rl.line_graph(cx).graph == rl.complete_graph(4)
     with pytest.raises(rl.BadParameters):
         rl.make_simplex_subsets(2, 4)  # only 3 two-subsets of a 3-set exist
 
@@ -111,7 +111,7 @@ def test_make_triangle_join_cases():
         b = rl.make_triangle_join(d, "b")
         for cx in (a, b):
             assert rl.facet_size(cx) == d and cx.facet_count == 3
-            assert rl.are_isomorphic(rl.line_graph(cx).graph, rl.cycle_graph(3))
+            assert rl.line_graph(cx).graph == rl.complete_graph(3)  # C_3 is K_3
     with pytest.raises(rl.BadParameters):
         rl.make_triangle_join(2, "c")
 
@@ -130,7 +130,8 @@ def test_make_cycle_complex_window_branch():
             cx = rl.make_cycle_complex(r, d)
             assert cx.facet_count == r and rl.facet_size(cx) == d
             g = rl.line_graph(cx).graph
-            assert rl.are_isomorphic(g, rl.cycle_graph(r)), (r, d)
+            # C_r up to labelling: the sorted facet order need not be cyclic
+            assert rl.is_connected(g) and all(g.degree(v) == 2 for v in range(1, r + 1)), (r, d)
 
 
 def test_make_cycle_complex_padded_branch_is_complete():
@@ -138,8 +139,7 @@ def test_make_cycle_complex_padded_branch_is_complete():
         for d in range(r - 1, r + 2):
             cx = rl.make_cycle_complex(r, d)
             g = rl.line_graph(cx).graph
-            assert rl.are_isomorphic(g, rl.complete_graph(r)), (r, d)
-            assert not rl.are_isomorphic(g, rl.cycle_graph(r))
+            assert g == rl.complete_graph(r), (r, d)
 
 
 def test_realizability_search_small_targets():

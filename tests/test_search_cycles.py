@@ -19,14 +19,12 @@ GAMMA = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)]
 def _searches(budget=None):
     """One call of every recursive search: count_Nt's disjoint-triangle
     search, clique_edge_partition (its solve and grow), has_induced_star,
-    single_swap_order (through is_shellable), both minor chases, both
-    isomorphism tests and the realizability search."""
+    single_swap_order (through is_shellable), the chordality minor chase and
+    the realizability search."""
     g = rl.line_graph(rl.random_pure_complex(10, 3, 30, 1)).graph
     gamma = rl.from_facets(GAMMA)
     chain = rl.from_facets(GAMMA[:4])
     return [
-        lambda: rl.are_isomorphic(rl.cycle_graph(6), rl.cycle_graph(6), budget),
-        lambda: rl.complexes_isomorphic(gamma, gamma, budget),
         lambda: rl.realizability_search(rl.path_graph(3), 2, 8, budget),
         lambda: rl.count_Nt(rl.from_facets(BD3), "max_disjoint", budget),
         lambda: rl.clique_edge_partition(g, 3, budget),
@@ -34,7 +32,6 @@ def _searches(budget=None):
         lambda: rl.is_shellable(rl.from_facets(BD3 + [(1, 5, 6)], ambient=range(1, 7)), budget),
         lambda: rl.is_shellable(gamma, budget),
         lambda: rl.is_chordal_complex(chain, budget),
-        lambda: rl.has_free_vertex_property(chain, budget),
     ]
 
 

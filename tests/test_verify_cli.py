@@ -74,6 +74,27 @@ def test_cycle_report_documents_both_branches():
             assert row["line_graph_is_complete"] and not row["line_graph_is_cycle"]
 
 
+def test_cycle_tabulation_does_no_search(tmp_path, capsys):
+    # degrees settle C_r and K_r, so even a one-step budget changes nothing
+    assert (verify("cycle", budget=1, stable_time=True).to_json()
+            == verify("cycle", stable_time=True).to_json())
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "cycle", "--budget", "1", "--stable-output",
+                 "--out", str(out)]) == 10
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("theorem", ["edge-count", "cycle"])
+def test_verify_checks_seed_and_budget(theorem):
+    corpus = None if theorem == "cycle" else ("random", 8, 3, 5, 1)
+    for seed in (1.5, "3", True, None):
+        with pytest.raises(rl.BadParameters, match="seed must be an integer"):
+            verify(theorem, corpus, seed=seed)
+    for budget in (-1, 0, 1.5, "x", True):
+        with pytest.raises(rl.BadParameters, match="budget must be a positive integer"):
+            verify(theorem, corpus, budget=budget)
+
+
 def test_shellable_connected_skips_are_hypothesis_failures():
     rep = verify("shellable-connected", ("exhaustive", 5, 2, 2), stable_time=True)
     assert not rep.counterexamples
