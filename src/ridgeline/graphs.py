@@ -23,11 +23,16 @@ class Graph:
     __slots__ = ("order", "adj")
 
     def __init__(self, order: int, edges: Iterable[tuple] = ()):
-        if order < 0:
-            raise BadParameters("graph order must be nonnegative")
+        _check_count(order, "graph order")
         self.order = order
         adj = [0] * order
-        for a, b in edges:
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise BadParameters(f"an edge is a pair of vertices, got {edge!r}") from None
+            _check_int(a, "vertex")
+            _check_int(b, "vertex")
             if not 1 <= a <= order or not 1 <= b <= order:
                 raise UnknownVertex(f"edge ({a},{b}) leaves the vertex range 1..{order}")
             if a == b:
@@ -208,27 +213,48 @@ def _check_count(value, what: str) -> None:
 
 def has_induced_star(g: Graph, leaves: int, budget: int | None = None) -> bool:
     """Whether some vertex has an independent set of the given size in its
-    neighborhood (an induced complete bipartite star with that many leaves)."""
+    neighborhood (an induced complete bipartite star with that many leaves).
+
+    Branch and reduce on a candidate mask: skip its lowest vertex, or take it
+    and drop its neighbours. Each node is first bounded by a greedy clique
+    cover of the mask (the lowest vertex left, grown by the lowest common
+    neighbour left, removed, repeated): an independent set meets a clique at
+    most once, so a mask covered by fewer cliques than the leaves still wanted
+    holds none, and the node is pruned without spending a step. In a line
+    graph of a pure d-complex each neighbourhood is covered by its d ridge
+    cliques, so the bound usually settles a vertex at its root. The search
+    reads only the graph.
+    """
     _check_count(leaves, "leaf count")
     if leaves == 0:
         return g.order > 0
+    adj = g.adj
     b = Budget(budget)
 
     def has_independent(mask: int, want: int) -> bool:
         if want == 0:
             return True
-        if mask.bit_count() < want:
-            return False
+        rest = mask
+        for _ in range(want):
+            if not rest:
+                return False
+            low = rest & -rest
+            rest ^= low
+            common = rest & adj[low.bit_length() - 1]
+            while common:
+                low = common & -common
+                rest ^= low
+                common &= adj[low.bit_length() - 1]
         b.spend()
         low = mask & -mask
         v = low.bit_length()
         # branch: either skip v, or take v and drop its neighbors
         if has_independent(mask ^ low, want):
             return True
-        return has_independent(mask & ~g.adj[v - 1] & ~low, want - 1)
+        return has_independent(mask & ~adj[v - 1] & ~low, want - 1)
 
     try:
-        return any(has_independent(g.adj[v - 1], leaves) for v in range(1, g.order + 1))
+        return any(has_independent(adj[v - 1], leaves) for v in range(1, g.order + 1))
     finally:
         del has_independent  # break the closure's cycle through its own cell
 

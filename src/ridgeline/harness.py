@@ -310,19 +310,42 @@ def _check_deltac(cx, field, budget):
     crows = _ridge_adjacency(comp)[2]
     index_of = {f: k for k, f in enumerate(comp.facets)}
     mapped = [index_of[tuple(v for v in cx.ambient if v not in f)] for f in cx.facets]
-    r = len(rows)
-    for i in range(r):
+    mismatch = _first_row_mismatch(rows, crows, mapped)
+    if mismatch is None:
+        return CONFIRMED, None
+    i, j, left, right = mismatch
+    return COUNTEREXAMPLE, {
+        "facet_pair": [i + 1, j + 1],
+        "adjacent_in_line_graph": left,
+        "adjacent_in_complement_line_graph": right,
+    }
+
+
+def _first_row_mismatch(rows: list, crows: list, mapped: list):
+    """First pair i < j, in lexicographic order, where bit j of ``rows[i]``
+    differs from bit ``mapped[j]`` of ``crows[mapped[i]]``, as
+    ``(i, j, left, right)`` with the two bits as booleans; None when
+    ``mapped`` carries one graph onto the other.
+
+    Each complement row is pulled back onto the indices of ``rows`` through
+    the inverse of ``mapped``, and its XOR with ``rows[i]`` above bit i holds
+    every mismatch of row i.
+    """
+    back = [0] * len(mapped)
+    for i, k in enumerate(mapped):
+        back[k] = i
+    for i, row in enumerate(rows):
         crow = crows[mapped[i]]
-        for j in range(i + 1, r):
-            left = bool(rows[i] >> j & 1)
-            right = bool(crow >> mapped[j] & 1)
-            if left != right:
-                return COUNTEREXAMPLE, {
-                    "facet_pair": [i + 1, j + 1],
-                    "adjacent_in_line_graph": left,
-                    "adjacent_in_complement_line_graph": right,
-                }
-    return CONFIRMED, None
+        pulled = 0
+        while crow:
+            low = crow & -crow
+            pulled |= 1 << back[low.bit_length() - 1]
+            crow ^= low
+        diff = (row ^ pulled) >> i + 1
+        if diff:
+            j = i + (diff & -diff).bit_length()
+            return i, j, bool(row >> j & 1), bool(pulled >> j & 1)
+    return None
 
 
 def _check_edge_count(cx, field, budget):

@@ -525,6 +525,45 @@ def oracle_clique_edge_partition(g, max_per_vertex, budget=None):
     return None, b.used
 
 
+def oracle_has_induced_star(g, leaves, budget=None):
+    """The branch-and-reduce star search bounded only by popcount, kept as
+    the reference for ``graphs.has_induced_star``: same verdicts, and never
+    fewer steps, since the clique-cover bound prunes a superset of its nodes.
+    Returns ``(verdict, steps)``; raises BudgetExceeded past the budget."""
+    if leaves == 0:
+        return g.order > 0, 0
+    b = Budget(budget)
+
+    def has_independent(mask, want):
+        if want == 0:
+            return True
+        if mask.bit_count() < want:
+            return False
+        b.spend()
+        low = mask & -mask
+        v = low.bit_length()
+        if has_independent(mask ^ low, want):
+            return True
+        return has_independent(mask & ~g.adj[v - 1] & ~low, want - 1)
+
+    return any(has_independent(row, leaves) for row in g.adj), b.used
+
+
+def oracle_first_row_mismatch(rows, crows, mapped):
+    """The pair loop that ``harness._first_row_mismatch`` replaces: every
+    pair i < j in lexicographic order, comparing bit j of ``rows[i]`` with
+    bit ``mapped[j]`` of ``crows[mapped[i]]``."""
+    r = len(rows)
+    for i in range(r):
+        crow = crows[mapped[i]]
+        for j in range(i + 1, r):
+            left = bool(rows[i] >> j & 1)
+            right = bool(crow >> mapped[j] & 1)
+            if left != right:
+                return i, j, left, right
+    return None
+
+
 def oracle_cycle_lengths(n, edges):
     """All lengths of (not necessarily induced) cycles, by rotating simple
     paths; fine for the small graphs the tests use."""

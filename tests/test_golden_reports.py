@@ -16,6 +16,8 @@ import os
 import pytest
 
 import ridgeline as rl
+from oracles import oracle_has_induced_star
+from ridgeline.harness import _iter_corpus, _ridge_graph
 
 # file corpus; a document without a name is reported under its path, so the
 # files are read by relative path from the directory they are written to
@@ -46,11 +48,14 @@ STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
               "star-free", "clique-partition", "shellable-connected", "cycle")
 
 # (theorem, corpus, budgets) chosen so that the budgets run out on some
-# instances and not on others, which pins every search's step count
+# instances and not on others, which pins every search's step count; the
+# clique-cover bound settles every star search of the (8, 3, 8) corpus
+# within one step, so the (9, 3, 40) corpus keeps star-free exhaustion pinned
 BUDGETED = (
     ("betti2", ("random", 5, 2, 8, 12), (3, 5, 8, 13)),
     ("betti2", ("random", 6, 3, 12, 8), (21, 55, 89, 144)),
     ("star-free", ("random", 8, 3, 8, 12), (1, 2, 3, 5, 8, 13)),
+    ("star-free", ("random", 9, 3, 40, 12), (1, 3, 8, 21, 55, 144)),
     ("clique-partition", ("random", 8, 3, 8, 12), (1, 2, 3, 5, 8, 13)),
     ("shellable-connected", ("random", 6, 3, 8, 12), (3, 5, 8, 13)),
 )
@@ -77,7 +82,10 @@ GOLDEN = {
     'betti2-rat': 'b60365001ec19e730e4ef727390d4bc1ba7fa564275c2ad7c455c0a4563531ca',
     'betti2-budgets-5-2-8': '9ea48df32b5c6890eb4a27f764bc25b338de03a19e28a7ff88fa0ee4d165d460',
     'betti2-budgets-6-3-12': '05edf7166f9777d8cbffeb6a9ddfb999e35ca8e2f1bb961a5cbe3954f6b375bf',
-    'star-free-budgets-8-3-8': '0afbcd448df6a1bb40b3017630996fab46e3b9b300f3be62736fbe368351e911',
+    # re-frozen with the clique-cover bound of has_induced_star: no instance
+    # runs out of budget any more, and no verdict changed
+    'star-free-budgets-8-3-8': '8f300c0c07521c986b2d632a3658f8abc35683d050770d80a7980f17ea18a92c',
+    'star-free-budgets-9-3-40': 'c7c77ae4932408c692f10886e8db9257a5b11dd03029f52bad7c9c211fd8a8db',
     'clique-partition-budgets-8-3-8': '301c779288a2a3b62fda60a675d82cc99ff236462486ed1cf69cda43f9630007',
     'shellable-connected-budgets-6-3-8': '79e25a5b5356bcba0abeeb0bbd6b298eafe666687ed20b032d61c3fc9e587b49',
     'analyze-bd3': 'fa7efe039a30f9931b3a0ba93e05bb0d45a8fa2f3e9e2080d6f746c2b5c0eb07',
@@ -133,6 +141,32 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch):
     assert sorted(got) == sorted(GOLDEN)
     changed = [key for key in GOLDEN if got[key] != GOLDEN[key]]
     assert not changed, f"report bytes changed for {changed}"
+
+
+def test_budgeted_star_free_agrees_and_skips_no_more_than_oracle():
+    """At every frozen budget, each decided star-free instance has its
+    unbudgeted verdict, and the bounded search runs out on no more
+    instances than the popcount-only search would."""
+    for theorem, corpus, budgets in BUDGETED:
+        if theorem != "star-free":
+            continue
+        full = rl.verify(theorem, corpus, seed=5)
+        assert not full.skips
+        graphs = [(_ridge_graph(cx), rl.facet_size(cx) + 1) for _, cx in _iter_corpus(corpus, 5)]
+        for budget in budgets:
+            report = rl.verify(theorem, corpus, seed=5, budget=budget)
+            skipped = {s["document"]["name"] for s in report.skips}
+            kept = [c for c in full.counterexamples if c["document"]["name"] not in skipped]
+            assert list(report.counterexamples) == kept
+            assert report.instances == full.instances
+            assert report.trials == full.instances - len(skipped)
+            oracle_skips = 0
+            for g, leaves in graphs:
+                try:
+                    oracle_has_induced_star(g, leaves, budget)
+                except rl.BudgetExceeded:
+                    oracle_skips += 1
+            assert len(skipped) <= oracle_skips, (corpus, budget)
 
 
 def test_unreadable_files_become_skips(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from oracles import (
     oracle_chordal_graph,
     oracle_clique_edge_partition,
     oracle_cycle_lengths,
+    oracle_has_induced_star,
     oracle_induced_cycle_lengths,
     oracle_triangles,
 )
@@ -101,6 +102,65 @@ def test_has_induced_star():
     assert rl.has_induced_star(rl.path_graph(3), 2)
 
 
+def _with_steps(search, *args):
+    """A search's result and its number of Budget.spend calls."""
+    calls = 0
+    spend = rl.Budget.spend
+
+    def counting(self, amount=1):
+        nonlocal calls
+        calls += 1
+        spend(self, amount)
+
+    rl.Budget.spend = counting
+    try:
+        return search(*args), calls
+    finally:
+        rl.Budget.spend = spend
+
+
+def test_induced_star_matches_oracle_exhaustive():
+    for n in range(7):
+        for n_, edges in all_labeled_graphs(n):
+            g = rl.Graph(n_, edges)
+            for leaves in range(5):
+                assert rl.has_induced_star(g, leaves) == oracle_has_induced_star(g, leaves)[0], \
+                    (g, leaves)
+
+
+def test_induced_star_matches_oracle_on_line_graphs():
+    # d + 1 leaves is the star-free statement (always False); d leaves has
+    # both verdicts. The clique-cover bound prunes only nodes the popcount
+    # search also explores, so it never takes more steps.
+    pruned = 0
+    for corpus, seed in ((("random", 10, 3, 60, 20), 4), (("random", 9, 3, 40, 12), 5),
+                         (("random", 12, 4, 30, 10), 9)):
+        for _, cx in _iter_corpus(corpus, seed):
+            g = _ridge_graph(cx)
+            d = rl.facet_size(cx)
+            for leaves in (d, d + 1):
+                verdict, steps = _with_steps(rl.has_induced_star, g, leaves)
+                want, oracle_steps = oracle_has_induced_star(g, leaves)
+                assert verdict == want and steps <= oracle_steps, (cx, leaves)
+                pruned += oracle_steps - steps
+    assert pruned > 0
+
+
+def test_induced_star_budget():
+    # K_{1,4} with four leaves: every node on the path to the star needs as
+    # many cover cliques as it wants leaves, so each spends a step, and each
+    # skip branch is pruned by the cover
+    claw4 = rl.Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    assert _with_steps(rl.has_induced_star, claw4, 4) == (True, 4)
+    assert oracle_has_induced_star(claw4, 4) == (True, 4)
+    with pytest.raises(rl.BudgetExceeded):
+        rl.has_induced_star(claw4, 4, 3)
+    # in K_5 every neighbourhood is one clique, so the cover settles each
+    # root and the search spends nothing
+    assert _with_steps(rl.has_induced_star, rl.complete_graph(5), 2) == (False, 0)
+    assert oracle_has_induced_star(rl.complete_graph(5), 2) == (False, 15)
+
+
 def test_clique_edge_partition():
     # triangle: one clique, every vertex used once
     part = rl.clique_edge_partition(rl.complete_graph(3), 2)
@@ -118,6 +178,23 @@ def test_clique_edge_partition():
     assert part is not None and len(part) == 3
 
 
+def test_graph_refuses_bad_input_typed():
+    for order in (2.5, 2.0, True, "3", None, -1):
+        with pytest.raises(rl.BadParameters):
+            rl.Graph(order)
+    for edge in ((1, 2.0), (1.0, 2), (True, 2), ("1", 2), (1, None)):
+        with pytest.raises(rl.BadParameters, match="vertex must be an integer"):
+            rl.Graph(3, [edge])
+    for edge in ((1, 2, 3), (1,), 5, None, ()):
+        with pytest.raises(rl.BadParameters, match="an edge is a pair of vertices"):
+            rl.Graph(3, [edge])
+    with pytest.raises(rl.UnknownVertex):
+        rl.Graph(3, [(1, 4)])
+    with pytest.raises(rl.BadParameters, match="loop"):
+        rl.Graph(3, [(2, 2)])
+    assert rl.Graph(3, [[1, 2], (3, 2)]).edges() == ((1, 2), (2, 3))
+
+
 def test_counts_must_be_integers():
     for bad in (1.5, 2.0, True, False, "2", None):
         with pytest.raises(rl.BadParameters):
@@ -130,28 +207,11 @@ def test_counts_must_be_integers():
         rl.has_induced_star(rl.complete_graph(3), -1)
 
 
-def _partition_and_steps(g, cap):
-    """clique_edge_partition's result and its number of Budget.spend calls."""
-    calls = 0
-    spend = rl.Budget.spend
-
-    def counting(self, amount=1):
-        nonlocal calls
-        calls += 1
-        spend(self, amount)
-
-    rl.Budget.spend = counting
-    try:
-        return rl.clique_edge_partition(g, cap), calls
-    finally:
-        rl.Budget.spend = spend
-
-
 def _assert_partition_matches_oracle(g, cap):
     """Same partition and step count as the edge-indexed search, and under
     budgets below the step count both run out at the same step."""
     want = oracle_clique_edge_partition(g, cap)
-    assert _partition_and_steps(g, cap) == want, (g, cap)
+    assert _with_steps(rl.clique_edge_partition, g, cap) == want, (g, cap)
     part, steps = want
     for limit in {1, steps // 2, steps - 1, steps}:
         if limit < 1:

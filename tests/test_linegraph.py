@@ -10,6 +10,7 @@ from oracles import (
     oracle_beta,
     oracle_characterize_complete,
     oracle_classify_triangles,
+    oracle_first_row_mismatch,
     oracle_ridge_counts,
     oracle_ridge_edges,
 )
@@ -19,6 +20,7 @@ from ridgeline.harness import (
     _check_betti2,
     _check_complete,
     _check_deltac,
+    _first_row_mismatch,
     _is_complete,
     _ridge_adjacency,
     _ridge_graph,
@@ -322,6 +324,39 @@ def test_deltac_reports_first_disagreeing_pair(monkeypatch):
                 break
         assert expected is not None
         assert _check_deltac(cx, None, None) == expected, flips
+
+
+def test_first_row_mismatch_matches_pair_loop():
+    """Random facet permutations of ridge graphs, unchanged and then with one
+    adjacency bit pair flipped on either side: the row comparison and the
+    pair loop report the same first pair and the same two flags."""
+    import random
+
+    rng = random.Random(12)
+    flagged = set()
+    for n, d, r in ((7, 3, 10), (9, 3, 25), (8, 2, 14), (10, 4, 30), (6, 3, 2)):
+        for seed in range(6):
+            rows = list(_ridge_adjacency(rl.random_pure_complex(n, d, r, seed))[2])
+            mapped = rng.sample(range(r), r)
+            crows = [0] * r
+            for i, row in enumerate(rows):
+                for j in range(r):
+                    if row >> j & 1:
+                        crows[mapped[i]] |= 1 << mapped[j]
+            assert _first_row_mismatch(rows, crows, mapped) is None
+            assert oracle_first_row_mismatch(rows, crows, mapped) is None
+            for _ in range(8):
+                a, b = rng.sample(range(r), 2)
+                side = rng.choice((rows, crows))
+                side[a] ^= 1 << b
+                side[b] ^= 1 << a
+                got = _first_row_mismatch(rows, crows, mapped)
+                assert got is not None
+                assert got == oracle_first_row_mismatch(rows, crows, mapped)
+                flagged.add(got[2:])
+                side[a] ^= 1 << b
+                side[b] ^= 1 << a
+    assert flagged == {(True, False), (False, True)}
 
 
 def _betti2_by_three_predictions(cx, field, budget):

@@ -20,15 +20,17 @@ def _searches(budget=None):
     """One call of every recursive search: count_Nt's disjoint-triangle
     search, clique_edge_partition (its solve and grow), has_induced_star,
     single_swap_order (through is_shellable), the chordality minor chase and
-    the realizability search."""
+    the realizability search. The star search gets a line graph whose
+    neighbourhoods the greedy clique cover does not settle at once."""
     g = rl.line_graph(rl.random_pure_complex(10, 3, 30, 1)).graph
+    dense = rl.line_graph(rl.random_pure_complex(9, 3, 40, 1)).graph
     gamma = rl.from_facets(GAMMA)
     chain = rl.from_facets(GAMMA[:4])
     return [
         lambda: rl.realizability_search(rl.path_graph(3), 2, 8, budget),
         lambda: rl.count_Nt(rl.from_facets(BD3), "max_disjoint", budget),
         lambda: rl.clique_edge_partition(g, 3, budget),
-        lambda: rl.has_induced_star(g, 4, budget),
+        lambda: rl.has_induced_star(dense, 4, budget),
         lambda: rl.is_shellable(rl.from_facets(BD3 + [(1, 5, 6)], ambient=range(1, 7)), budget),
         lambda: rl.is_shellable(gamma, budget),
         lambda: rl.is_chordal_complex(chain, budget),
