@@ -169,9 +169,9 @@ def _cmd_generate(args) -> int:
     # bad parameters raise on the first draw, before DIR exists
     first = list(islice(corpus, 1))
     out.mkdir(parents=True, exist_ok=True)
-    for k, (doc, cx) in enumerate(chain(first, corpus)):
+    for k, (name, cx) in enumerate(chain(first, corpus)):
         path = out / f"complex_{k:0{width}d}.json"
-        path.write_bytes(serialize_complex(cx, doc["name"]))
+        path.write_bytes(serialize_complex(cx, name))
         sys.stdout.write(f"{path}\n")
     return 0
 

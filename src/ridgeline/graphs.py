@@ -271,8 +271,13 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
     of a and b still under the cap, in ascending order; v extends a clique
     mask when ``mask & ~rest[v-1] == 0``. They are tried largest first, equal
     sizes in depth-first order. Covering a clique clears its mask from the
-    rows of its vertices, and a vertex at the cap whose row is still nonzero
-    prunes the branch.
+    rows of its vertices. Each of those vertices v is then bounded before a
+    step is spent: a later clique through v holds at most one vertex of an
+    independent set of the residual graph, so a greedy such set drawn from
+    ``rest[v-1]`` (the lowest vertex u left, then drop u and ``rest[u-1]``,
+    repeated) that is larger than the cliques v has left prunes the branch.
+    The bound cuts only branches that cannot succeed, so the partition found
+    is the one the unbounded order finds first.
     """
     _check_count(max_per_vertex, "per-vertex clique cap")
     cap = max_per_vertex
@@ -299,8 +304,8 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
             return True
         b.spend()
         bv = (row & -row).bit_length()
-        if counts[a] >= cap or counts[bv] >= cap:
-            return False
+        # the bound keeps every vertex with residual edges under the cap, so
+        # the filter below matters only at cap 0
         cands = [v for v in _bits(row & rest[bv - 1]) if counts[v] < cap]
         cliques: list = []
         grow((1 << (a - 1)) | (1 << (bv - 1)), cands, cliques)
@@ -311,9 +316,19 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
             for v in vs:
                 counts[v] += 1
                 rest[v - 1] &= ~mask
-            if not any(counts[v] == cap and rest[v - 1] for v in vs) and solve(a):
-                chosen.append(vs)
-                return True
+            for v in vs:
+                room = cap - counts[v]
+                nb = rest[v - 1]
+                while nb and room >= 0:
+                    room -= 1
+                    low = nb & -nb
+                    nb &= ~(low | rest[low.bit_length() - 1])
+                if room < 0:
+                    break
+            else:
+                if solve(a):
+                    chosen.append(vs)
+                    return True
             for v in vs:
                 counts[v] -= 1
                 rest[v - 1] |= mask ^ 1 << (v - 1)

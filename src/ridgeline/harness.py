@@ -14,8 +14,9 @@ import json
 import random
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .algebra import (
@@ -176,26 +177,41 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     if top > sys.maxsize:
         raise BadParameters(f"C({n},{d}) = {top} d-subsets are too many to index")
     rng = random.Random(seed)
+    table = _binomials(n, d)
     # sampling indices draws exactly what sampling the list of all d-subsets
-    # in lexicographic order would, without building that list
-    picks = [_unrank_subset(k, n, d) for k in rng.sample(range(top), r)]
-    # distinct sorted d-subsets form an antichain, so no re-maximalization
-    return SimplicialComplex(tuple(range(1, n + 1)), tuple(sorted(picks)))
+    # in lexicographic order would, without building that list; unranking
+    # keeps that order, so sorted ranks give sorted facets, and distinct
+    # sorted d-subsets form an antichain, so no re-maximalization
+    ranks = rng.sample(range(top), r)
+    ranks.sort()
+    facets = tuple([_unrank_subset(k, n, d, table) for k in ranks])
+    return SimplicialComplex(tuple(range(1, n + 1)), facets)
 
 
-def _unrank_subset(k: int, n: int, d: int) -> tuple:
-    """The k-th d-subset of {1..n} in lexicographic order, counting from 0."""
+def _binomials(n: int, d: int) -> list:
+    """Rows ``table[j][m] = C(m, j)`` for j <= d and m < n."""
+    table = [[1] * n]
+    for _ in range(d):
+        # hockey stick: C(m, j) is the sum of C(i, j - 1) over i < m
+        table.append([0, *accumulate(table[-1][:-1])])
+    return table
+
+
+def _unrank_subset(k: int, n: int, d: int, table: list) -> tuple:
+    """The k-th d-subset of {1..n} in lexicographic order, counting from 0;
+    ``table`` is ``_binomials(n, d)``.
+
+    The subset a_1 < .. < a_d has rank C(n, d) - 1 - sum C(n - a_i, d + 1 - i),
+    and that sum is the co-rank written in the combinatorial number system:
+    n - a_i is the largest m with C(m, d + 1 - i) at most what is left of it.
+    """
+    left = table[d][n - 1] + table[d - 1][n - 1] - 1 - k  # C(n, d) - 1 - k
     out = []
-    v = 1
-    while d:
-        # d-subsets of {v..n} that start with v
-        first = comb(n - v, d - 1)
-        if k < first:
-            out.append(v)
-            d -= 1
-        else:
-            k -= first
-        v += 1
+    for j in range(d, 0, -1):
+        row = table[j]
+        m = bisect_right(row, left) - 1
+        left -= row[m]
+        out.append(n - m)
     return tuple(out)
 
 
@@ -537,9 +553,10 @@ _CORPUS_FIELDS = {"random": ("n", "d", "r", "trial count"), "exhaustive": ("n", 
 
 
 def _iter_corpus(corpus, seed, budget=None):
-    """Yield (document, complex) pairs for a corpus spec tuple.
+    """Yield (name, complex) pairs for a corpus spec tuple; the name is None
+    for an exhaustive corpus.
 
-    A file that does not parse yields ``({"name": path}, error)`` with the
+    A file that does not parse yields ``(path, error)`` with the
     ``RidgelineError`` in place of the complex, so that it costs one skipped
     instance rather than the run; a file that cannot be read still raises.
     """
@@ -561,11 +578,11 @@ def _iter_corpus(corpus, seed, budget=None):
         for t in range(trials):
             sub_seed = seed * 1_000_003 + t
             cx = random_pure_complex(n, d, r, sub_seed)
-            yield complex_document(cx, name=f"random-{n}-{d}-{r}-seed{sub_seed}"), cx
+            yield f"random-{n}-{d}-{r}-seed{sub_seed}", cx
     elif kind == "exhaustive":
         _, n, d, r_max = corpus
         for cx in enumerate_pure_complexes(n, d, r_max, budget):
-            yield complex_document(cx), cx
+            yield None, cx
     elif kind == "files":
         for path in corpus[1]:
             with open(path, "rb") as fh:
@@ -573,9 +590,9 @@ def _iter_corpus(corpus, seed, budget=None):
             try:
                 cx, name = parse_document(data)
             except RidgelineError as exc:
-                yield {"name": str(path)}, exc
+                yield str(path), exc
                 continue
-            yield complex_document(cx, name=name or str(path)), cx
+            yield name or str(path), cx
     else:
         raise BadParameters(f"unknown corpus kind {kind!r}")
 
@@ -670,10 +687,12 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
                 interp.value: {"matches": 0, "mismatches": 0, "first_mismatch": None}
                 for interp in _INTERPS
             }
-        for doc, cx in _iter_corpus(corpus, seed, budget):
+        # only skips, counterexamples and first mismatches keep a document
+        for name, cx in _iter_corpus(corpus, seed, budget):
             instances += 1
             if isinstance(cx, RidgelineError):
-                skips.append({"document": doc, "reason": f"unreadable document: {cx}"})
+                skips.append({"document": {"name": name},
+                              "reason": f"unreadable document: {cx}"})
                 continue
             try:
                 status, diag = checker(cx, field, budget)
@@ -682,7 +701,7 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
             except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual) as exc:
                 status, diag = SKIP, str(exc)
             if status == SKIP:
-                skips.append({"document": doc, "reason": diag})
+                skips.append({"document": complex_document(cx, name), "reason": diag})
                 continue
             if interp_stats is not None and isinstance(diag, dict):
                 for tag, matched in diag.get("matches", {}).items():
@@ -693,14 +712,15 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
                         stat["mismatches"] += 1
                         if stat["first_mismatch"] is None:
                             stat["first_mismatch"] = {
-                                "document": doc,
+                                "document": complex_document(cx, name),
                                 "predicted": diag["predicted"][tag],
                                 "oracle": diag["oracle"],
                             }
             if status == CONFIRMED:
                 confirmations += 1
             else:
-                counterexamples.append({"document": doc, "diagnostic": diag})
+                counterexamples.append({"document": complex_document(cx, name),
+                                        "diagnostic": diag})
         if interp_stats is not None:
             tabulation = {"interpretations": interp_stats}
 

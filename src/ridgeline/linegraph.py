@@ -30,7 +30,7 @@ from .errors import (
     NotPure,
     RidgelineError,
 )
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _check_int
 
 
 class TriangleType(Enum):
@@ -250,6 +250,8 @@ def _complete_shape(d: int, masks: tuple, rows: tuple) -> str:
 
 def make_cone(r: int, d: int) -> SimplicialComplex:
     """r facets through the common (d-1)-set {1..d-1}; line graph K_r."""
+    _check_int(r, "r")
+    _check_int(d, "d")
     if r < 1 or d < 2:
         raise BadParameters("cone family needs r >= 1 and d >= 2")
     base = tuple(range(1, d))
@@ -258,6 +260,8 @@ def make_cone(r: int, d: int) -> SimplicialComplex:
 
 def make_simplex_subsets(d: int, count: int) -> SimplicialComplex:
     """First ``count`` d-subsets of {1..d+1} in order; line graph K_count."""
+    _check_int(d, "d")
+    _check_int(count, "count")
     if d < 2 or not 1 <= count <= d + 1:
         raise BadParameters("simplex-subset family needs d >= 2, 1 <= count <= d+1")
     subsets = list(combinations(range(1, d + 2), d))
@@ -287,6 +291,8 @@ def make_cycle_complex(r: int, d: int) -> SimplicialComplex:
     d-1, so its line graph is complete rather than a cycle; the harness
     reports this instead of papering over it.
     """
+    _check_int(r, "r")
+    _check_int(d, "d")
     if r < 4 or d < 2:
         raise BadParameters("cycle family needs r >= 4 and d >= 2")
     if d < r - 1:
@@ -315,6 +321,8 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
     exhausted. d*r vertices are always enough, so
     ``max_vertices >= d * g.order`` makes the search complete.
     """
+    _check_int(d, "d")
+    _check_int(max_vertices, "max_vertices")
     if d < 2:
         raise DimensionTooSmall("realizability needs facet size at least 2")
     if max_vertices < d:

@@ -16,7 +16,7 @@ import os
 import pytest
 
 import ridgeline as rl
-from oracles import oracle_has_induced_star
+from oracles import oracle_clique_edge_partition, oracle_has_induced_star
 from ridgeline.harness import _iter_corpus, _ridge_graph
 
 # file corpus; a document without a name is reported under its path, so the
@@ -86,7 +86,10 @@ GOLDEN = {
     # runs out of budget any more, and no verdict changed
     'star-free-budgets-8-3-8': '8f300c0c07521c986b2d632a3658f8abc35683d050770d80a7980f17ea18a92c',
     'star-free-budgets-9-3-40': 'c7c77ae4932408c692f10886e8db9257a5b11dd03029f52bad7c9c211fd8a8db',
-    'clique-partition-budgets-8-3-8': '301c779288a2a3b62fda60a675d82cc99ff236462486ed1cf69cda43f9630007',
+    # re-frozen with the residual independent-set bound of
+    # clique_edge_partition: at budget 13 the one instance that ran out is
+    # now decided (confirmed, as unbudgeted); budgets 1 to 8 still run out
+    'clique-partition-budgets-8-3-8': '9f3ca3be5128fe6434eabf9840f685997dc17baff40429d01785c393ab351fdf',
     'shellable-connected-budgets-6-3-8': '79e25a5b5356bcba0abeeb0bbd6b298eafe666687ed20b032d61c3fc9e587b49',
     'analyze-bd3': 'fa7efe039a30f9931b3a0ba93e05bb0d45a8fa2f3e9e2080d6f746c2b5c0eb07',
     'analyze-edges': '5aab9396d2c3d161a0b1def939522f3e43f079d218655efddc4efa4b38b03af1',
@@ -143,16 +146,16 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch):
     assert not changed, f"report bytes changed for {changed}"
 
 
-def test_budgeted_star_free_agrees_and_skips_no_more_than_oracle():
-    """At every frozen budget, each decided star-free instance has its
-    unbudgeted verdict, and the bounded search runs out on no more
-    instances than the popcount-only search would."""
-    for theorem, corpus, budgets in BUDGETED:
-        if theorem != "star-free":
+def _assert_budgeted_runs_agree(theorem, oracle_runs_out):
+    """At every frozen budget of ``theorem``, each decided instance has its
+    unbudgeted verdict, and the bounded search runs out on no more instances
+    than the reference search, ``oracle_runs_out(g, d, budget)``, would."""
+    for name, corpus, budgets in BUDGETED:
+        if name != theorem:
             continue
         full = rl.verify(theorem, corpus, seed=5)
         assert not full.skips
-        graphs = [(_ridge_graph(cx), rl.facet_size(cx) + 1) for _, cx in _iter_corpus(corpus, 5)]
+        graphs = [(_ridge_graph(cx), rl.facet_size(cx)) for _, cx in _iter_corpus(corpus, 5)]
         for budget in budgets:
             report = rl.verify(theorem, corpus, seed=5, budget=budget)
             skipped = {s["document"]["name"] for s in report.skips}
@@ -160,13 +163,27 @@ def test_budgeted_star_free_agrees_and_skips_no_more_than_oracle():
             assert list(report.counterexamples) == kept
             assert report.instances == full.instances
             assert report.trials == full.instances - len(skipped)
-            oracle_skips = 0
-            for g, leaves in graphs:
-                try:
-                    oracle_has_induced_star(g, leaves, budget)
-                except rl.BudgetExceeded:
-                    oracle_skips += 1
+            oracle_skips = sum(oracle_runs_out(g, d, budget) for g, d in graphs)
             assert len(skipped) <= oracle_skips, (corpus, budget)
+
+
+def _runs_out(search, *args) -> bool:
+    try:
+        search(*args)
+    except rl.BudgetExceeded:
+        return True
+    return False
+
+
+def test_budgeted_star_free_agrees_and_skips_no_more_than_oracle():
+    _assert_budgeted_runs_agree(
+        "star-free", lambda g, d, budget: _runs_out(oracle_has_induced_star, g, d + 1, budget))
+
+
+def test_budgeted_clique_partition_agrees_and_skips_no_more_than_oracle():
+    _assert_budgeted_runs_agree(
+        "clique-partition",
+        lambda g, d, budget: _runs_out(oracle_clique_edge_partition, g, d, budget))
 
 
 def test_unreadable_files_become_skips(tmp_path, monkeypatch):

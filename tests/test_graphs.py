@@ -208,11 +208,12 @@ def test_counts_must_be_integers():
 
 
 def _assert_partition_matches_oracle(g, cap):
-    """Same partition and step count as the edge-indexed search, and under
-    budgets below the step count both run out at the same step."""
-    want = oracle_clique_edge_partition(g, cap)
-    assert _with_steps(rl.clique_edge_partition, g, cap) == want, (g, cap)
-    part, steps = want
+    """Same partition as the edge-indexed search in no more steps; under
+    budgets below its own step count both searches run out, and at that
+    count it finds the same partition. Returns the steps saved."""
+    want, oracle_steps = oracle_clique_edge_partition(g, cap)
+    part, steps = _with_steps(rl.clique_edge_partition, g, cap)
+    assert part == want and steps <= oracle_steps, (g, cap)
     for limit in {1, steps // 2, steps - 1, steps}:
         if limit < 1:
             continue  # budgets are positive
@@ -223,6 +224,19 @@ def _assert_partition_matches_oracle(g, cap):
                 rl.clique_edge_partition(g, cap, limit)
         else:
             assert rl.clique_edge_partition(g, cap, limit) == part
+    return oracle_steps - steps
+
+
+def test_clique_partition_bound_prunes():
+    # three triangles through vertex 1 under cap 2: after 123 or 12 is
+    # covered, a greedy independent set of 1's residual neighbours ({4, 6}
+    # or {3, 4, 6}) outnumbers the one clique 1 has left, so both branches
+    # are cut before their step
+    bowtie3 = rl.Graph(7, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5),
+                           (1, 6), (1, 7), (6, 7)])
+    part, steps = _with_steps(rl.clique_edge_partition, bowtie3, 2)
+    assert part is None and steps == 1
+    assert oracle_clique_edge_partition(bowtie3, 2)[1] > 1
 
 
 def test_clique_partition_matches_oracle_exhaustive():
@@ -234,9 +248,11 @@ def test_clique_partition_matches_oracle_exhaustive():
 
 
 def test_clique_partition_matches_oracle_on_ridge_graphs():
+    pruned = 0
     for corpus, seed in ((("random", 10, 3, 60, 20), 4), (("random", 12, 3, 30, 20), 9)):
         for _, cx in _iter_corpus(corpus, seed):
-            _assert_partition_matches_oracle(_ridge_graph(cx), rl.facet_size(cx))
+            pruned += _assert_partition_matches_oracle(_ridge_graph(cx), rl.facet_size(cx))
+    assert pruned > 0
 
 
 @st.composite

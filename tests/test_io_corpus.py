@@ -76,6 +76,19 @@ def test_random_pure_complex_matches_pool_draw():
                     assert rl.random_pure_complex(n, d, r, seed) == expect, (n, d, r, seed)
 
 
+def test_unrank_subset_follows_combinations_order():
+    from itertools import combinations
+
+    from ridgeline.harness import _binomials, _unrank_subset
+
+    for n in range(1, 10):
+        for d in range(1, n + 1):
+            table = _binomials(n, d)
+            assert table == [[comb(m, j) for m in range(n)] for j in range(d + 1)]
+            got = [_unrank_subset(k, n, d, table) for k in range(comb(n, d))]
+            assert got == list(combinations(range(1, n + 1), d)), (n, d)
+
+
 def test_random_pure_complex_is_canonical_at_benchmark_sizes(monkeypatch):
     """The draw is built without from_facets, so check that it is already in
     from_facets' form on every benchmark ladder row and on whole pools."""

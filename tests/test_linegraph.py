@@ -118,6 +118,18 @@ def test_make_triangle_join_cases():
         rl.make_triangle_join(2, "c")
 
 
+def test_generators_refuse_non_integers_typed():
+    g = rl.path_graph(3)
+    for make, args in ((rl.make_cone, (2.5, 3)), (rl.make_cone, (3, 2.5)),
+                       (rl.make_cone, (True, 3)), (rl.make_simplex_subsets, (3, 2.0)),
+                       (rl.make_simplex_subsets, ("3", 2)), (rl.make_cycle_complex, (4.0, 2)),
+                       (rl.make_cycle_complex, (4, None)), (rl.make_triangle_join, (2.5, "a")),
+                       (rl.realizability_search, (g, 2.5, 10)),
+                       (rl.realizability_search, (g, 2, 7.5))):
+        with pytest.raises(rl.BadParameters, match="must be an integer"):
+            make(*args)
+
+
 def test_characterize_complete():
     assert rl.characterize_complete(rl.make_cone(5, 3)) == rl.CONE
     assert rl.characterize_complete(rl.make_simplex_subsets(3, 4)) == rl.SIMPLEX_SUBSETS

@@ -224,10 +224,15 @@ def test_property_line_graph_verdicts_invariant_under_relabelling(n, d, r, seed,
     moved = [rnd.sample([labels[v - 1] for v in f], d) for f in facets]
     rnd.shuffle(moved)
     with tempfile.TemporaryDirectory() as tmp:
-        for theorem in ("clique-partition", "star-free"):
+        for theorem in ("clique-partition", "star-free", "edge-count", "complete"):
             # a witness partition may differ; the verdict and its diagnostic may not
             assert (_verdicts(theorem, facets, Path(tmp) / "a.txt")
                     == _verdicts(theorem, moved, Path(tmp) / "b.txt")), theorem
+        # a deltac diagnostic names a facet pair by facet order, so only the
+        # counts must agree
+        conf_a, diags_a, skips_a = _verdicts("deltac", facets, Path(tmp) / "a.txt")
+        conf_b, diags_b, skips_b = _verdicts("deltac", moved, Path(tmp) / "b.txt")
+        assert (conf_a, len(diags_a), len(skips_a)) == (conf_b, len(diags_b), len(skips_b))
 
 
 def test_cli_generate_round_trip(tmp_path, capsys):
@@ -238,11 +243,11 @@ def test_cli_generate_round_trip(tmp_path, capsys):
     files = sorted(out.glob("*.json"))
     assert len(files) == 3
     corpus = list(harness._iter_corpus(("random", 6, 3, 4, 3), 9))
-    for k, (f, (doc, cx)) in enumerate(zip(files, corpus)):
-        assert json.loads(f.read_bytes()) == doc
-        assert rl.parse_document(f.read_bytes()) == (cx, doc["name"])
+    for k, (f, (name, cx)) in enumerate(zip(files, corpus)):
+        assert json.loads(f.read_bytes()) == rl.complex_document(cx, name)
+        assert rl.parse_document(f.read_bytes()) == (cx, name)
         assert cx == rl.random_pure_complex(6, 3, 4, 9 * 1_000_003 + k)
-        assert doc["name"] == f"random-6-3-4-seed{9 * 1_000_003 + k}"
+        assert name == f"random-6-3-4-seed{9 * 1_000_003 + k}"
 
 
 def test_budget_env_variable(tmp_path, monkeypatch, capsys):
