@@ -54,7 +54,7 @@ from .errors import (
     EmptyInput,
     RidgelineError,
 )
-from .graphs import Graph, complement, is_chordal_graph
+from .graphs import Graph, _check_int, complement, is_chordal_graph
 
 
 class FieldChoice(Enum):
@@ -312,6 +312,8 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
 
 def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
     """One graded Betti number of S/I (so (0,0) gives 1)."""
+    _check_int(i, "i")
+    _check_int(j, "j")
     if i == 0:
         return 1 if j == 0 else 0
     return betti_table(ideal, field).as_dict().get((i, j), 0)
@@ -323,6 +325,8 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) 
     Same value as beta(ideal, i, j, field) but without filling the whole
     table; the large field-agreement sweeps call this.
     """
+    _check_int(i, "i")
+    _check_int(j, "j")
     field = _field(field)
     if i == 0:
         return 1 if j == 0 else 0

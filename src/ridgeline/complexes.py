@@ -317,48 +317,50 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
     the ordering as a tuple of indices into the input, or None. This is the
     facet condition of a shelling, and applied to complemented supports it is
     also the colon condition for linear quotients of a squarefree ideal.
-    Backtracking tries indices in input order and memoizes dead prefix sets
-    (whether an order can be completed depends only on the prefix as a set),
-    so the witness is deterministic.
+
+    Each set becomes a bitmask over the union of the sets (``_masks_of``) and
+    a prefix is the bitmask of the indices placed so far. Index i extends a
+    prefix when ``singles``, the OR of the one-bit differences m_i & ~m_k
+    over placed k, meets m_i & ~m_j for every placed j. Backtracking tries
+    indices in input order and memoizes dead prefixes (whether an order can
+    be completed depends only on the prefix as a set), so the witness is
+    deterministic; each prefix the memo misses spends one budget step.
     """
-    sets = [set(s) for s in sets]
-    r = len(sets)
-    b = Budget(budget)
+    sets = list(sets)
+    masks = _masks_of(sets, tuple(set().union(*sets)))
+    r = len(masks)
+    full = (1 << r) - 1
+    spend = Budget(budget).spend
     dead: set = set()
     order: list = []
 
-    def can_append(used: frozenset, i: int) -> bool:
-        si = sets[i]
-        if not used:
-            return True
-        singles = set()
-        for k in used:
-            diff = si - sets[k]
-            if len(diff) == 1:
-                singles.update(diff)
-        if not singles:
-            return False
-        return all(singles & (si - sets[j]) for j in used)
-
-    def extend(used: frozenset) -> bool:
-        if len(used) == r:
+    def extend(used: int) -> bool:
+        if used == full:
             return True
         if used in dead:
             return False
-        b.spend()
+        spend()
         for i in range(r):
-            if i in used:
+            if used >> i & 1:
                 continue
-            if can_append(used, i):
-                order.append(i)
-                if extend(used | {i}):
-                    return True
-                order.pop()
+            mi = masks[i]
+            singles = 0
+            for k in order:
+                diff = mi & ~masks[k]
+                if diff.bit_count() == 1:
+                    singles |= diff
+            # singles lies inside m_i, so singles & ~m_j is singles & m_i & ~m_j
+            if not all(singles & ~masks[j] for j in order):
+                continue
+            order.append(i)
+            if extend(used | 1 << i):
+                return True
+            order.pop()
         dead.add(used)
         return False
 
     try:
-        found = extend(frozenset())
+        found = extend(0)
     finally:
         del extend  # break the closure's cycle through its own cell
     return tuple(order) if found else None

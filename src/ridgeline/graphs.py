@@ -358,16 +358,19 @@ def line_graph_of_graph(g: Graph) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_int(n, "vertex count")
     if n < 3:
         raise BadParameters("cycle graphs start at 3 vertices")
     return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_int(n, "vertex count")
     return Graph(n, list(combinations(range(1, n + 1), 2)))
 
 
 def path_graph(n: int) -> Graph:
+    _check_int(n, "vertex count")
     if n < 1:
         raise BadParameters("path graphs need at least one vertex")
     return Graph(n, [(i, i + 1) for i in range(1, n)])

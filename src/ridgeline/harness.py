@@ -167,7 +167,7 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
 
     Deterministic per seed; the ambient is the full vertex set {1..n}.
     """
-    for what, value in (("n", n), ("d", d), ("r", r)):
+    for what, value in (("n", n), ("d", d), ("r", r), ("seed", seed)):
         _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -651,9 +651,10 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
     """Run one registered statement over a corpus and build its report.
 
     ``corpus`` is ("random", n, d, r, trials), ("exhaustive", n, d, r_max),
-    ("files", [paths]) or None (allowed only for the generator-driven cycle
-    tabulation). Instance-level budget exhaustion becomes a skip; budget
-    exhaustion of the corpus enumeration itself propagates.
+    ("files", [paths]) or None, which the generator-driven cycle tabulation
+    requires and every other statement refuses. Instance-level budget
+    exhaustion becomes a skip; budget exhaustion of the corpus enumeration
+    itself propagates.
     """
     if theorem not in THEOREMS:
         raise UnknownTheorem(f"no theorem {theorem!r}; known: {', '.join(sorted(THEOREMS))}")
@@ -669,6 +670,8 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
     tabulation = None
 
     if theorem == "cycle":
+        if corpus is not None:
+            raise BadParameters("theorem 'cycle' tabulates its built-in grid and takes no corpus")
         rows, outcomes = _verify_cycle()
         tabulation = {"rows": rows}
         for status, doc, diag in outcomes:

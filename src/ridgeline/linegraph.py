@@ -11,7 +11,9 @@ p stands for the p-th smallest support vertex (the rule of
 ``complexes._masks_of``), and ``_ridge_adjacency`` sets bit j of row i exactly
 when popcount(m_i & m_j) == d - 1. The line graph is built from those rows,
 triangles are read off them, and the triple intersection of a triangle is
-popcount(m_i & m_j & m_k).
+popcount(m_i & m_j & m_k). The realizability search builds its candidate
+facets as such masks over the vertices 1..n it has used, and checks each by
+the same popcount rule against the facets chosen before it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class LabeledLineGraph:
 
     graph: Graph
     facet_of: tuple  # facet_of[i-1] is the facet behind vertex i
-
-    @property
-    def facet_count(self) -> int:
-        return len(self.facet_of)
 
 
 def _require_pure(cx: SimplicialComplex) -> int:
@@ -174,7 +172,10 @@ def count_Nt(cx: SimplicialComplex, interp: NtInterpretation,
     branch and bound). Isolated keeps only simplex-type triangles sharing no
     vertex with any other triangle of the line graph.
     """
-    interp = NtInterpretation(interp)
+    try:
+        interp = NtInterpretation(interp)
+    except ValueError:
+        raise BadParameters(f"unknown Nt interpretation {interp!r}") from None
     return _nt_count(classify_triangles(cx), interp, budget)
 
 
@@ -319,7 +320,9 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
     is the facet found for vertex i, so facets i and j meet in a ridge
     exactly when ij is an edge of g, or None once the bounded space is
     exhausted. d*r vertices are always enough, so
-    ``max_vertices >= d * g.order`` makes the search complete.
+    ``max_vertices >= d * g.order`` makes the search complete. Each
+    candidate spends one step; it fits when it repeats no facet and its ridge
+    row against the facets before it equals that part of g's adjacency row.
     """
     _check_int(d, "d")
     _check_int(max_vertices, "max_vertices")
@@ -330,54 +333,46 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
     r = g.order
     if r == 0:
         raise EmptyInput("the empty graph is not a line graph here")
-    b = Budget(budget)
-    first = tuple(range(1, d + 1))
-    chosen = [first]
-    chosen_sets = [set(first)]
+    spend = Budget(budget).spend
+    chosen = [(1 << d) - 1]
 
-    def candidates(high: int):
-        """d-sets over vertices 1..high plus a fresh suffix high+1..high+t."""
-        for t in range(min(d, max_vertices - high) + 1):
-            fresh = tuple(range(high + 1, high + 1 + t))
-            for old in combinations(range(1, high + 1), d - t):
-                yield tuple(sorted(old)) + fresh
-
-    def fits(candidate: tuple) -> bool:
-        cs = set(candidate)
-        i = len(chosen) + 1
-        for j, fj in enumerate(chosen_sets, start=1):
-            inter = len(cs & fj)
-            if inter == d:
-                return False  # facets must be distinct
-            if (inter == d - 1) != g.has_edge(i, j):
-                return False
-        return True
-
-    def extend() -> bool:
-        if len(chosen) == r:
+    def extend(high: int) -> bool:
+        # vertices 1..high are in use, bits 0..high-1 of the chosen masks
+        i = len(chosen)
+        if i == r:
             return True
-        high = max(max(f) for f in chosen)
-        for cand in candidates(high):
-            b.spend()
-            if fits(cand):
-                chosen.append(cand)
-                chosen_sets.append(set(cand))
-                if extend():
-                    return True
-                chosen.pop()
-                chosen_sets.pop()
+        target = g.adj[i] & ((1 << i) - 1)
+        used = [1 << p for p in range(high)]
+        for t in range(min(d, max_vertices - high) + 1):
+            fresh = ((1 << t) - 1) << high
+            for old in combinations(used, d - t):
+                spend()
+                cand = sum(old) | fresh
+                row = 0
+                for j, mj in enumerate(chosen):
+                    common = (cand & mj).bit_count()
+                    if common == d:  # facets must be distinct
+                        row = -1
+                        break
+                    if common == d - 1:
+                        row |= 1 << j
+                if row == target:
+                    chosen.append(cand)
+                    if extend(high + t):
+                        return True
+                    chosen.pop()
         return False
 
     try:
-        realized = r == 1 or extend()
+        realized = extend(d)
     finally:
         del extend  # break the closure's cycle through its own cell
     if not realized:
         return None
     # the facets in search order: from_facets would sort them and so break
     # the vertex-to-facet map
-    facets = tuple(chosen)
-    support = tuple(sorted(set().union(*chosen)))
-    if Graph.from_adj(_ridge_adjacency(SimplicialComplex(support, facets))[2]) != g:
+    facets = tuple(_bits(m) for m in chosen)
+    ambient = tuple(range(1, max(chosen).bit_length() + 1))
+    if Graph.from_adj(_ridge_adjacency(SimplicialComplex(ambient, facets))[2]) != g:
         raise RidgelineError("realizability witness failed its own check")
     return LabeledLineGraph(g, facets)

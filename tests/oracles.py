@@ -11,19 +11,23 @@ chordal minor chase from deletions and contractions of explicit facet
 tuples, and the line-graph layer (ridge edges, ridge counts,
 triangle types, complete shapes) from pairwise intersections of facet sets.
 Clique edge partitions come from the earlier edge-indexed search, which the
-package's residual-row search must match step for step.
+package's residual-row search must match in no more steps. The single-swap
+order (shelling, linear quotients) and realizability searches come from their
+earlier set-based forms, which the package's bitmask searches must match
+step for step.
 Slow on purpose; use only at unit-test scale. ``clear_window_memos`` gives
 the package's own cold route: a Betti scan after it takes every rank afresh.
 """
 
 from itertools import combinations, permutations
 
+import pytest
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from ridgeline import algebra
 from ridgeline.complexes import SimplicialComplex
-from ridgeline.errors import BadParameters, Budget, UnknownVertex
+from ridgeline.errors import BadParameters, Budget, BudgetExceeded, UnknownVertex
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,52 @@ def oracle_linear_quotients(generators):
         if ok:
             return seq
     return None
+
+
+def oracle_single_swap_order(sets, budget=None):
+    """The set-based single-swap search, kept as the reference for
+    ``complexes.single_swap_order``: prefixes are frozensets of indices and
+    differences are Python sets. Returns ``(order or None, steps)``, where
+    steps counts ``Budget.spend`` calls; raises BudgetExceeded at the same
+    step as the package's search must."""
+    sets = [set(s) for s in sets]
+    r = len(sets)
+    b = Budget(budget)
+    dead: set = set()
+    order: list = []
+
+    def can_append(used: frozenset, i: int) -> bool:
+        si = sets[i]
+        if not used:
+            return True
+        singles = set()
+        for k in used:
+            diff = si - sets[k]
+            if len(diff) == 1:
+                singles.update(diff)
+        if not singles:
+            return False
+        return all(singles & (si - sets[j]) for j in used)
+
+    def extend(used: frozenset) -> bool:
+        if len(used) == r:
+            return True
+        if used in dead:
+            return False
+        b.spend()
+        for i in range(r):
+            if i in used:
+                continue
+            if can_append(used, i):
+                order.append(i)
+                if extend(used | {i}):
+                    return True
+                order.pop()
+        dead.add(used)
+        return False
+
+    found = extend(frozenset())
+    return (tuple(order) if found else None), b.used
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +597,82 @@ def oracle_has_induced_star(g, leaves, budget=None):
         return has_independent(mask & ~g.adj[v - 1] & ~low, want - 1)
 
     return any(has_independent(row, leaves) for row in g.adj), b.used
+
+
+def oracle_realizability_search(g, d, max_vertices, budget=None):
+    """The set-based realizability search, kept as the reference for
+    ``linegraph.realizability_search``: candidates are sorted vertex tuples
+    and each is checked against the chosen facets as Python sets, one
+    ``Graph.has_edge`` call per chosen facet. Returns ``(facets or None,
+    steps)``, the facets in vertex order; raises BudgetExceeded at the same
+    step as the package's search must."""
+    r = g.order
+    b = Budget(budget)
+    first = tuple(range(1, d + 1))
+    chosen = [first]
+    chosen_sets = [set(first)]
+
+    def candidates(high: int):
+        """d-sets over vertices 1..high plus a fresh suffix high+1..high+t."""
+        for t in range(min(d, max_vertices - high) + 1):
+            fresh = tuple(range(high + 1, high + 1 + t))
+            for old in combinations(range(1, high + 1), d - t):
+                yield tuple(sorted(old)) + fresh
+
+    def fits(candidate: tuple) -> bool:
+        cs = set(candidate)
+        i = len(chosen) + 1
+        for j, fj in enumerate(chosen_sets, start=1):
+            inter = len(cs & fj)
+            if inter == d:
+                return False  # facets must be distinct
+            if (inter == d - 1) != g.has_edge(i, j):
+                return False
+        return True
+
+    def extend() -> bool:
+        if len(chosen) == r:
+            return True
+        high = max(max(f) for f in chosen)
+        for cand in candidates(high):
+            b.spend()
+            if fits(cand):
+                chosen.append(cand)
+                chosen_sets.append(set(cand))
+                if extend():
+                    return True
+                chosen.pop()
+                chosen_sets.pop()
+        return False
+
+    realized = r == 1 or extend()
+    return (tuple(chosen) if realized else None), b.used
+
+
+def assert_step_for_step(search, oracle, budget=None):
+    """``search(budget)`` against ``oracle(budget) -> (result, steps)``.
+    When the oracle runs out of ``budget``, the search must too, and None is
+    returned. Otherwise, under budgets 1, steps // 2 and steps - 1 both run
+    out, and under the oracle's own step count the search returns the
+    oracle's result, so the two spend the same number of steps, which is
+    returned."""
+    try:
+        want, steps = oracle(budget)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            search(budget)
+        return None
+    for limit in sorted({1, steps // 2, steps - 1, steps}):
+        if limit < 1:
+            continue  # budgets are positive
+        if limit < steps:
+            with pytest.raises(BudgetExceeded):
+                oracle(limit)
+            with pytest.raises(BudgetExceeded):
+                search(limit)
+        else:
+            assert search(limit) == want
+    return steps
 
 
 def oracle_first_row_mismatch(rows, crows, mapped):

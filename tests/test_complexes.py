@@ -8,6 +8,7 @@ import ridgeline as rl
 from oracles import (
     OracleBudgetExceeded,
     antichains,
+    assert_step_for_step,
     contraction,
     deletion,
     oracle_independence_complex,
@@ -15,6 +16,7 @@ from oracles import (
     oracle_is_simplicial,
     oracle_minimal_nonfaces,
     oracle_minor_chase,
+    oracle_single_swap_order,
 )
 from ridgeline.errors import Budget
 
@@ -259,6 +261,21 @@ def test_shellable_examples():
     assert _shelling_order_ok(order)
     # only the dimension-descending order works for this one
     assert order[0] == (1, 2, 3)
+
+
+def _oracle_shelling(cx, budget):
+    order, steps = oracle_single_swap_order(cx.facets, budget)
+    return (None if order is None else tuple(cx.facets[i] for i in order)), steps
+
+
+def test_shelling_search_matches_set_oracle_step_for_step():
+    verdicts = set()
+    for seed in range(400):
+        cx = rl.random_pure_complex(7, 3, 2 + seed % 7, seed)
+        assert_step_for_step(lambda budget: rl.is_shellable(cx, budget),
+                             lambda budget: _oracle_shelling(cx, budget))
+        verdicts.add(rl.is_shellable(cx) is None)
+    assert verdicts == {True, False}
 
 
 def test_single_swap_order_validates():

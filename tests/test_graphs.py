@@ -193,6 +193,9 @@ def test_graph_refuses_bad_input_typed():
     with pytest.raises(rl.BadParameters, match="loop"):
         rl.Graph(3, [(2, 2)])
     assert rl.Graph(3, [[1, 2], (3, 2)]).edges() == ((1, 2), (2, 3))
+    for make, n in ((rl.cycle_graph, 3.5), (rl.complete_graph, 2.5), (rl.path_graph, 2.5)):
+        with pytest.raises(rl.BadParameters, match="must be an integer"):
+            make(n)
 
 
 def test_counts_must_be_integers():

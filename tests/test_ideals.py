@@ -8,11 +8,13 @@ import ridgeline as rl
 from ridgeline import algebra
 from oracles import (
     all_labeled_graphs,
+    assert_step_for_step,
     clear_window_memos,
     oracle_beta,
     oracle_beta2_closed_form,
     oracle_is_cm_reisner,
     oracle_linear_quotients,
+    oracle_single_swap_order,
 )
 
 
@@ -34,6 +36,14 @@ def test_ideal_routes_agree():
     g = rl.Graph(3, [(1, 2), (2, 3)])
     assert rl.edge_ideal(g) == rl.facet_ideal(
         rl.from_facets(g.edges(), ambient=range(1, 4)))
+
+
+def test_betti_degrees_must_be_integers():
+    I = rl.monomial_ideal([[1, 2], [2, 3]])
+    for query in (rl.beta, rl.beta_in_degree):
+        for i, j in ((1.5, 3), (True, 3), (1.0, 3), (1, 3.0)):
+            with pytest.raises(rl.BadParameters, match="must be an integer"):
+                query(I, i, j)
 
 
 def test_koszul_table():
@@ -213,6 +223,25 @@ def test_linear_quotients_matches_oracle():
             chk = oracle_linear_quotients(mine)
             assert chk is not None
     assert rl.has_linear_quotients(rl.monomial_ideal([], ambient=[1])) == ()
+
+
+def _oracle_quotients(ideal, budget):
+    universe = set(ideal.ambient)
+    comps = [universe - set(g) for g in ideal.generators]
+    order, steps = oracle_single_swap_order(comps, budget)
+    return (None if order is None else tuple(ideal.generators[i] for i in order)), steps
+
+
+def test_linear_quotient_search_matches_set_oracle_step_for_step():
+    # Stanley-Reisner ideals of the shelling test's complexes, under a budget
+    # that the larger generator sets exhaust
+    outcomes = set()
+    for seed in range(120):
+        I = rl.stanley_reisner_ideal(rl.random_pure_complex(7, 3, 2 + seed % 7, seed))
+        steps = assert_step_for_step(lambda budget: rl.has_linear_quotients(I, budget),
+                                     lambda budget: _oracle_quotients(I, budget), 1000)
+        outcomes.add("exhausted" if steps is None else rl.has_linear_quotients(I) is None)
+    assert outcomes == {"exhausted", True, False}
 
 
 def test_quotients_imply_linear_resolution_when_equigenerated():

@@ -141,7 +141,8 @@ def test_enumerate_pure_complexes_match_from_facets():
 
 
 def test_corpus_parameters_must_be_integers():
-    for args in [(8, 3, 5.5, 1), (3, True, 2, 1), (8.0, 3, 5, 1), ("8", 3, 5, 1)]:
+    for args in [(8, 3, 5.5, 1), (3, True, 2, 1), (8.0, 3, 5, 1), ("8", 3, 5, 1),
+                 (6, 3, 4, 1.5), (6, 3, 4, "x")]:
         with pytest.raises(rl.BadParameters, match="must be an integer"):
             rl.random_pure_complex(*args)
     for args in [(4, 2, 2.0), (4, False, 2), (None, 2, 2)]:

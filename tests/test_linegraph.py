@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 import ridgeline as rl
 from oracles import (
+    all_labeled_graphs,
+    assert_step_for_step,
     connected_labeled_graphs,
     oracle_beta,
     oracle_characterize_complete,
     oracle_classify_triangles,
     oracle_first_row_mismatch,
+    oracle_realizability_search,
     oracle_ridge_counts,
     oracle_ridge_edges,
 )
@@ -128,6 +131,36 @@ def test_generators_refuse_non_integers_typed():
                        (rl.realizability_search, (g, 2, 7.5))):
         with pytest.raises(rl.BadParameters, match="must be an integer"):
             make(*args)
+
+
+def test_realizability_search_matches_set_oracle_step_for_step():
+    def facets_found(g, d, budget):
+        found = rl.realizability_search(g, d, d * g.order, budget)
+        return None if found is None else found.facet_of
+
+    for d in (2, 3):
+        for r in range(1, 6):
+            for _, edges in all_labeled_graphs(r):
+                g = rl.Graph(r, edges)
+                assert_step_for_step(lambda budget: facets_found(g, d, budget),
+                                     lambda budget: oracle_realizability_search(g, d, d * r, budget))
+
+
+def test_realizability_search_finds_every_line_graph_of_a_graph():
+    # Whitney: the edges of h realize its line graph at d = 2 on at most
+    # 2|E(h)| vertices. A graph on fewer than 5 vertices has the edge set,
+    # and so the line graph, of one on 5 with isolated vertices.
+    for _, edges in all_labeled_graphs(5):
+        if edges:
+            line = rl.line_graph_of_graph(rl.Graph(5, edges))
+            assert rl.realizability_search(line, 2, 2 * len(edges)) is not None, edges
+
+
+def test_unknown_nt_interpretation_is_typed():
+    cx = rl.from_facets(BD3)
+    for query in (rl.count_Nt, rl.predicted_beta2):
+        with pytest.raises(rl.BadParameters, match="unknown Nt interpretation 'bogus'"):
+            query(cx, "bogus")
 
 
 def test_characterize_complete():

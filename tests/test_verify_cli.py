@@ -29,6 +29,10 @@ def test_unknown_theorem_and_missing_corpus():
         verify("nope", ("exhaustive", 4, 2, 2))
     with pytest.raises(rl.BadParameters):
         verify("deltac", None)
+    # the cycle tabulation runs its own grid, so a corpus would mislabel it
+    for corpus in [("random", 5, 2, 3, 1), ("exhaustive", 4, 2, 2), ("bogus",)]:
+        with pytest.raises(rl.BadParameters, match="takes no corpus"):
+            verify("cycle", corpus, seed=9)
 
 
 def test_report_json_deterministic():
@@ -183,6 +187,11 @@ def test_cli_usage_and_budget_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "deltac", "--random", "bad"])
     assert exc.value.code == 2
+    out = tmp_path / "cycle.json"
+    assert main(["verify", "--theorem", "cycle", "--random", "5,2,3,1",
+                 "--out", str(out)]) == 2
+    assert "takes no corpus" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_refuses_negative_trial_counts(tmp_path, capsys):
