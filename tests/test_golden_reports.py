@@ -16,8 +16,12 @@ import os
 import pytest
 
 import ridgeline as rl
-from oracles import oracle_clique_edge_partition, oracle_has_induced_star
-from ridgeline.harness import _iter_corpus, _ridge_graph
+from oracles import (
+    oracle_clique_edge_partition,
+    oracle_has_induced_star,
+    oracle_minor_chase,
+)
+from ridgeline.harness import _chordal_hypotheses, _iter_corpus, _ridge_graph
 
 # file corpus; a document without a name is reported under its path, so the
 # files are read by relative path from the directory they are written to
@@ -50,7 +54,10 @@ STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
 # (theorem, corpus, budgets) chosen so that the budgets run out on some
 # instances and not on others, which pins every search's step count; the
 # clique-cover bound settles every star search of the (8, 3, 8) corpus
-# within one step, so the (9, 3, 40) corpus keeps star-free exhaustion pinned
+# within one step, so the (9, 3, 40) corpus keeps star-free exhaustion pinned;
+# the chordality corpora pass 12 and 4 instances through the hypothesis gate,
+# whose minor chases take 42 to 79 and 68 to 85 steps (one dual-chordal
+# counterexample at 75)
 BUDGETED = (
     ("betti2", ("random", 5, 2, 8, 12), (3, 5, 8, 13)),
     ("betti2", ("random", 6, 3, 12, 8), (21, 55, 89, 144)),
@@ -58,6 +65,8 @@ BUDGETED = (
     ("star-free", ("random", 9, 3, 40, 12), (1, 3, 8, 21, 55, 144)),
     ("clique-partition", ("random", 8, 3, 8, 12), (1, 2, 3, 5, 8, 13)),
     ("shellable-connected", ("random", 6, 3, 8, 12), (3, 5, 8, 13)),
+    ("chordal-main", ("random", 6, 3, 6, 40), (21, 46, 55, 89)),
+    ("dual-chordal", ("random", 6, 3, 7, 40), (34, 68, 75, 89)),
 )
 
 ANALYZED = {
@@ -91,6 +100,9 @@ GOLDEN = {
     # now decided (confirmed, as unbudgeted); budgets 1 to 8 still run out
     'clique-partition-budgets-8-3-8': '9f3ca3be5128fe6434eabf9840f685997dc17baff40429d01785c393ab351fdf',
     'shellable-connected-budgets-6-3-8': '79e25a5b5356bcba0abeeb0bbd6b298eafe666687ed20b032d61c3fc9e587b49',
+    # frozen from the minor chase that re-split the masks for every test
+    'chordal-main-budgets-6-3-6': '1b2d94ee07ca2790d0b6445a7bbf209e524c8a0b094521b7c5f08b5b850e1e73',
+    'dual-chordal-budgets-6-3-7': '87c20dbc318b82962c2c3507ccfe20f4bf9fdc36c4a6c53815949d6899599fd3',
     'analyze-bd3': 'fa7efe039a30f9931b3a0ba93e05bb0d45a8fa2f3e9e2080d6f746c2b5c0eb07',
     'analyze-edges': '5aab9396d2c3d161a0b1def939522f3e43f079d218655efddc4efa4b38b03af1',
     'analyze-sparse': '507b3ac98ed898b771339d30c05f6b569a37b46468c3c17b147a16b3e1aba737',
@@ -184,6 +196,29 @@ def test_budgeted_clique_partition_agrees_and_skips_no_more_than_oracle():
     _assert_budgeted_runs_agree(
         "clique-partition",
         lambda g, d, budget: _runs_out(oracle_clique_edge_partition, g, d, budget))
+
+
+@pytest.mark.parametrize("theorem", ["chordal-main", "dual-chordal"])
+def test_budgeted_chordality_skips_exactly_where_oracle_chase_runs_out(theorem):
+    """At every frozen budget, the gated instances skipped for budget are
+    exactly those whose oracle chase takes more steps, and the others keep
+    their unbudgeted verdicts."""
+    (corpus, budgets), = [(c, b) for name, c, b in BUDGETED if name == theorem]
+    full = rl.verify(theorem, corpus, seed=5)
+    steps = {}
+    for name, cx in _iter_corpus(corpus, 5):
+        if _chordal_hypotheses(cx)[0]:
+            target = rl.complement_complex(cx) if theorem == "dual-chordal" else cx
+            steps[name] = oracle_minor_chase(target.facets)[1]
+    assert steps and not any("budget" in s["reason"] for s in full.skips)
+    for budget in budgets:
+        report = rl.verify(theorem, corpus, seed=5, budget=budget)
+        ran_out = {s["document"]["name"] for s in report.skips if "budget" in s["reason"]}
+        assert ran_out == {name for name, n in steps.items() if n > budget}, budget
+        kept = [c for c in full.counterexamples if c["document"]["name"] not in ran_out]
+        assert list(report.counterexamples) == kept
+        assert report.trials == full.trials - len(ran_out)
+    assert min(steps.values()) <= max(budgets) and max(steps.values()) > min(budgets)
 
 
 def test_unreadable_files_become_skips(tmp_path, monkeypatch):
