@@ -54,7 +54,7 @@ from .errors import (
     EmptyInput,
     RidgelineError,
 )
-from .graphs import Graph, _check_int, complement, is_chordal_graph
+from .graphs import Graph, _check_graph, _check_int, complement, is_chordal_graph
 
 
 class FieldChoice(Enum):
@@ -122,6 +122,7 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """Degree-two ideal of the edges of a graph."""
+    _check_graph(g)
     return MonomialIdeal(tuple(range(1, g.order + 1)), tuple(sorted(g.edges())))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -172,6 +172,12 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient, tuple(sorted(facets)))
 
 
+def _check_complex(cx) -> None:
+    """Refuse anything but a SimplicialComplex, once at the entry of a search."""
+    if not isinstance(cx, SimplicialComplex):
+        raise BadParameters(f"expected a SimplicialComplex, got {type(cx).__name__}")
+
+
 def _check_ambient_cap(n: int, what: str) -> None:
     """Refuse a subset scan over more than AMBIENT_CAP vertices."""
     if n > AMBIENT_CAP:
@@ -217,19 +223,44 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient, facets)
 
 
-def _simplicial_bit(masks, bit: int) -> bool:
-    """Whether every two facet masks through ``bit`` have a third facet mask
-    inside their union without ``bit``. Only a facet avoiding ``bit`` can lie
-    there, so the third facet is sought among those.
+def _split(masks, bit: int) -> tuple:
+    """``(through, kept, bit)``: the facet masks containing ``bit`` and those
+    avoiding it."""
+    through = []
+    kept = []
+    for m in masks:
+        if m & bit:
+            through.append(m)
+        else:
+            kept.append(m)
+    return through, kept, bit
+
+
+def _splits(masks):
+    """Yield ``_split(masks, bit)`` for each bit of the union of the masks,
+    in ascending order."""
+    rest = 0
+    for m in masks:
+        rest |= m
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        yield _split(masks, bit)
+
+
+def _simplicial_bit(through, kept, bit: int) -> bool:
+    """Whether every two facet masks of ``through`` (those containing
+    ``bit``) have a mask of ``kept`` (those avoiding it) inside their union
+    without ``bit``. Only a facet avoiding ``bit`` can lie there, so the third
+    facet is sought among those.
     """
-    through = [m for m in masks if m & bit]
-    if len(through) <= 1:
-        return True
-    others = [m for m in masks if not m & bit]
     for pos, m1 in enumerate(through):
         for m2 in through[pos + 1:]:
             allowed = (m1 | m2) ^ bit
-            if not any(m3 & allowed == m3 for m3 in others):
+            for m3 in kept:
+                if m3 & allowed == m3:
+                    break
+            else:
                 return False
     return True
 
@@ -241,25 +272,7 @@ def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
     """
     if v not in cx.ambient:
         raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    return _simplicial_bit(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v))
-
-
-def _contract(masks: frozenset, kept: list, bit: int) -> frozenset:
-    """Facet masks of the contraction at ``bit``, given the masks ``kept``
-    that avoid it: strip the bit from the others and drop a stripped face
-    lying inside a kept facet. The masks form an antichain, so two stripped
-    faces never nest and a kept facet never lies inside a stripped face.
-    """
-    out = set(kept)
-    for m in masks:
-        if m & bit:
-            s = m ^ bit
-            for g in kept:
-                if s & g == s:
-                    break
-            else:
-                out.add(s)
-    return frozenset(out)
+    return _simplicial_bit(*_split(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)))
 
 
 def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
@@ -267,44 +280,69 @@ def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool
 
     A minor is the frozenset of its facet bitmasks, bit i standing for the
     i-th smallest support vertex of the input; the facets must form an
-    antichain. Minors come from deletions (the masks avoiding a bit) and
-    contractions (``_contract``) at the support bits in ascending order, the
-    deletion first; ambient vertices outside the support touch no facet and
-    are dropped by any minor anyway. The memo is keyed by the frozenset, which
-    determines the canonical facet tuple and back, and each new state spends
-    one budget step after the memo misses. Empty and single-facet families
-    count as chordal base cases.
+    antichain. Each state splits its masks once per support bit, in
+    ascending order (``_splits``), into ``through`` (the masks containing the
+    bit) and ``kept`` (those avoiding it). That one split serves the
+    simplicial test (``_simplicial_bit``, which stops at the first simplicial
+    bit), the deletion (``kept``) and the contraction (``kept`` plus each
+    ``through`` mask without the bit that lies inside no kept mask; the masks
+    form an antichain, so two stripped faces never nest and a kept facet
+    never lies inside a stripped face). At each bit the deletion is tried
+    first, and the contraction is built only when the deletion is good.
+    Ambient vertices outside the support touch no facet and are dropped by
+    any minor anyway.
+
+    Empty and single-facet families count as chordal base cases. The memo is
+    keyed by the frozenset, which determines the canonical facet tuple and
+    back. A parent skips a base-case child and looks every other child up in
+    the memo before it recurses, so each recursion visits a new state and
+    spends one budget step.
     """
+    _check_complex(cx)
     spend = Budget(budget).spend
     memo: dict = {}
 
     def good(masks: frozenset) -> bool:
-        if len(masks) <= 1:
-            return True
-        hit = memo.get(masks)
-        if hit is not None:
-            return hit
+        # a new state of two or more facets: split up to the first simplicial
+        # bit, and let the children resume the splits after it
         spend()
-        union = 0
-        for m in masks:
-            union |= m
-        bits = []
-        while union:
-            low = union & -union
-            bits.append(low)
-            union ^= low
-        ok = any(_simplicial_bit(masks, bit) for bit in bits)
-        if ok:
-            for bit in bits:
-                kept = [m for m in masks if not m & bit]
-                if not good(frozenset(kept)) or not good(_contract(masks, kept, bit)):
+        pending = _splits(masks)
+        tested = []
+        for split in pending:
+            tested.append(split)
+            if _simplicial_bit(*split):
+                break
+        else:
+            memo[masks] = False
+            return False
+        ok = True
+        for through, kept, bit in chain(tested, pending):
+            if len(kept) > 1:
+                child = frozenset(kept)
+                hit = memo.get(child)
+                if not (good(child) if hit is None else hit):
+                    ok = False
+                    break
+            contracted = kept.copy()
+            for m in through:
+                face = m ^ bit
+                for g in kept:
+                    if face & g == face:
+                        break
+                else:
+                    contracted.append(face)
+            if len(contracted) > 1:
+                child = frozenset(contracted)
+                hit = memo.get(child)
+                if not (good(child) if hit is None else hit):
                     ok = False
                     break
         memo[masks] = ok
         return ok
 
+    root = frozenset(_masks_of(cx.facets, cx.support))
     try:
-        return good(frozenset(_masks_of(cx.facets, cx.support)))
+        return len(root) <= 1 or good(root)
     finally:
         del good  # break the closure's cycle through its own cell, and the memo with it
 
@@ -326,8 +364,12 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
     be completed depends only on the prefix as a set), so the witness is
     deterministic; each prefix the memo misses spends one budget step.
     """
-    sets = list(sets)
-    masks = _masks_of(sets, tuple(set().union(*sets)))
+    try:
+        sets = list(sets)
+        union = set().union(*sets)
+    except TypeError:  # not an iterable of iterables of hashable vertices
+        raise BadParameters(f"expected a family of vertex sets, got {sets!r}") from None
+    masks = _masks_of(sets, tuple(union))
     r = len(masks)
     full = (1 << r) - 1
     spend = Budget(budget).spend
@@ -375,6 +417,7 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = None, *,
     earlier F_k. Non-pure input is rejected unless ``allow_nonpure`` is set
     (the same pairwise condition is the general one).
     """
+    _check_complex(cx)
     if cx.is_empty:
         raise EmptyInput("empty complex has nothing to shell")
     if not allow_nonpure and not is_pure(cx):

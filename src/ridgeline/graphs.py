@@ -151,6 +151,7 @@ def is_chordal_graph(g: Graph) -> Optional[tuple]:
     Repeatedly removes any vertex whose remaining neighborhood is a clique;
     a graph is chordal exactly when this greedy process empties it.
     """
+    _check_graph(g)
     alive = (1 << g.order) - 1
     order = []
     for _ in range(g.order):
@@ -205,6 +206,12 @@ def _check_int(value, what: str) -> None:
         raise BadParameters(f"{what} must be an integer, got {value!r}")
 
 
+def _check_graph(g) -> None:
+    """Refuse anything but a Graph, once at the entry of a graph routine."""
+    if not isinstance(g, Graph):
+        raise BadParameters(f"expected a Graph, got {type(g).__name__}")
+
+
 def _check_count(value, what: str) -> None:
     _check_int(value, what)
     if value < 0:
@@ -225,6 +232,7 @@ def has_induced_star(g: Graph, leaves: int, budget: int | None = None) -> bool:
     cliques, so the bound usually settles a vertex at its root. The search
     reads only the graph.
     """
+    _check_graph(g)
     _check_count(leaves, "leaf count")
     if leaves == 0:
         return g.order > 0
@@ -279,6 +287,7 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
     The bound cuts only branches that cannot succeed, so the partition found
     is the one the unbounded order finds first.
     """
+    _check_graph(g)
     _check_count(max_per_vertex, "per-vertex clique cap")
     cap = max_per_vertex
     rest = list(g.adj)

@@ -32,7 +32,7 @@ from .errors import (
     NotPure,
     RidgelineError,
 )
-from .graphs import Graph, _bits, _check_int
+from .graphs import Graph, _bits, _check_graph, _check_int
 
 
 class TriangleType(Enum):
@@ -324,6 +324,7 @@ def realizability_search(g: Graph, d: int, max_vertices: int,
     candidate spends one step; it fits when it repeats no facet and its ridge
     row against the facets before it equals that part of g's adjacency row.
     """
+    _check_graph(g)
     _check_int(d, "d")
     _check_int(max_vertices, "max_vertices")
     if d < 2:

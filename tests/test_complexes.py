@@ -212,6 +212,19 @@ def test_minor_chase_matches_oracle_exhaustive():
         _assert_chase_matches_oracle(cx)
 
 
+@pytest.mark.parametrize("n, d, r", [(6, 3, 5), (6, 3, 7), (7, 3, 6)])
+def test_minor_chase_matches_oracle_on_searches_ladder(n, d, r):
+    """Seeded random complexes of the benchmark's searches rows and their
+    complement complexes, step for step at four budgets each."""
+    verdicts = set()
+    for seed in range(30):
+        cx = rl.random_pure_complex(n, d, r, seed)
+        for target in (cx, rl.complement_complex(cx)):
+            _assert_chase_matches_oracle(target)
+            verdicts.add(rl.is_chordal_complex(target))
+    assert verdicts == {True, False}
+
+
 @given(st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=5), min_size=1, max_size=7),
        st.integers(0, 2))
 @settings(max_examples=120, deadline=None)

@@ -100,7 +100,7 @@ GOLDEN = {
     # now decided (confirmed, as unbudgeted); budgets 1 to 8 still run out
     'clique-partition-budgets-8-3-8': '9f3ca3be5128fe6434eabf9840f685997dc17baff40429d01785c393ab351fdf',
     'shellable-connected-budgets-6-3-8': '79e25a5b5356bcba0abeeb0bbd6b298eafe666687ed20b032d61c3fc9e587b49',
-    # frozen from the minor chase that re-split the masks for every test
+    # frozen from the chase before it split each minor once per vertex
     'chordal-main-budgets-6-3-6': '1b2d94ee07ca2790d0b6445a7bbf209e524c8a0b094521b7c5f08b5b850e1e73',
     'dual-chordal-budgets-6-3-7': '87c20dbc318b82962c2c3507ccfe20f4bf9fdc36c4a6c53815949d6899599fd3',
     'analyze-bd3': 'fa7efe039a30f9931b3a0ba93e05bb0d45a8fa2f3e9e2080d6f746c2b5c0eb07',

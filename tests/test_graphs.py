@@ -198,6 +198,23 @@ def test_graph_refuses_bad_input_typed():
             make(n)
 
 
+@pytest.mark.parametrize("call, args", [
+    (rl.realizability_search, ("x", 2, 4)),
+    (rl.edge_ideal, ("x",)),
+    (rl.froberg_check, ("x",)),
+    (rl.is_chordal_graph, ("x",)),
+    (rl.has_induced_star, ("x", 2)),
+    (rl.clique_edge_partition, ("x", 2)),
+    (rl.single_swap_order, (None,)),
+    (rl.single_swap_order, ([1, 2],)),
+    (rl.is_chordal_complex, ("x",)),
+    (rl.is_shellable, ("x",)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_wrong_type_arguments_raise_bad_parameters(call, args):
+    with pytest.raises(rl.BadParameters, match="expected a"):
+        call(*args)
+
+
 def test_counts_must_be_integers():
     for bad in (1.5, 2.0, True, False, "2", None):
         with pytest.raises(rl.BadParameters):
