@@ -48,6 +48,14 @@ RANDOM_CORPORA = (
     ("random", 5, 2, 3, 25),
 )
 
+# the froberg statement needs facet size 2: the d = 2 rows above and one
+# denser row, whose whole rational and GF(2) tables the window scan fills
+FROBERG_CORPORA = tuple(c for c in RANDOM_CORPORA if c[2] == 2) + (("random", 7, 2, 12, 15),)
+
+# Stanley-Reisner ideals with generators of degrees 2 and 3, so the scan runs
+# on ideals that are not edge ideals
+COROLLARY_CORPUS = ("exhaustive", 5, 3, 5)
+
 STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
               "star-free", "clique-partition", "shellable-connected", "cycle")
 
@@ -89,6 +97,10 @@ GOLDEN = {
     'shellable-connected': '7c1df2839a2c006ee80c1d208911c773a644be85ad5b3a4bff1c428d4862260b',
     'cycle': 'c3f5989e09dfbb67cbc52a5ebae295fb3161f6a2b608dff53a025cf24fd11767',
     'betti2-rat': 'b60365001ec19e730e4ef727390d4bc1ba7fa564275c2ad7c455c0a4563531ca',
+    # frozen from the window scan before it collapsed memo misses to a core
+    'froberg': 'cda69e9d8f59958a5b469c24717d12bcaf7f295217f0bfa1618b33e25963c784',
+    'froberg-rat': 'c71d9ae6c5c7c9a621d123a8795979ab97e2d9aff95049d61ccf483c115d9ff2',
+    'corollary-chain': '58d2fa8a67e948ab72eecadb43e8295f08d5d7a120e5a75213d45d1ab666524f',
     'betti2-budgets-5-2-8': '9ea48df32b5c6890eb4a27f764bc25b338de03a19e28a7ff88fa0ee4d165d460',
     'betti2-budgets-6-3-12': '05edf7166f9777d8cbffeb6a9ddfb999e35ca8e2f1bb961a5cbe3954f6b375bf',
     # re-frozen with the clique-cover bound of has_induced_star: no instance
@@ -140,6 +152,9 @@ def current_digests() -> dict:
         out[theorem] = _digest(
             [_verify_json(theorem, c) for c in RANDOM_CORPORA] + [_verify_json(theorem, files)])
     out["betti2-rat"] = _digest([_verify_json("betti2", c, field="rat") for c in RANDOM_CORPORA[:3]])
+    out["froberg"] = _digest([_verify_json("froberg", c) for c in FROBERG_CORPORA])
+    out["froberg-rat"] = _digest([_verify_json("froberg", c, field="rat") for c in FROBERG_CORPORA])
+    out["corollary-chain"] = _digest([_verify_json("corollary-chain", COROLLARY_CORPUS)])
     for theorem, corpus, budgets in BUDGETED:
         out[f"{theorem}-budgets-" + "-".join(map(str, corpus[1:4]))] = _digest(
             [_verify_json(theorem, corpus, seed=5, budget=b) for b in budgets])

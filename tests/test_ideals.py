@@ -288,6 +288,26 @@ def test_froberg_check_examples():
     assert not res["linear_resolution"] and not res["complement_chordal"]
 
 
+def test_corollary_chain_counts_on_exhaustive_5_3_5():
+    # the statement as the harness encodes it: every conjunct holds on 195 of
+    # the 465 gated complexes, and the other 270 fail one conjunct only,
+    # sr_linear_resolution. That conjunct cannot hold there, because a
+    # linear resolution needs generators of one degree, and these
+    # Stanley-Reisner ideals are generated in degrees 2 and 3 (240 of them)
+    # or 2 and 4 (30)
+    from collections import Counter
+
+    report = rl.verify("corollary-chain", ("exhaustive", 5, 3, 5))
+    assert (report.instances, report.trials) == (637, 465)
+    assert (report.confirmations, len(report.counterexamples)) == (195, 270)
+    failed = Counter(tuple(k for k, v in c["diagnostic"].items() if v is False)
+                     for c in report.counterexamples)
+    assert failed == {("sr_linear_resolution",): 270}
+    degrees = Counter(tuple(c["diagnostic"]["sr_generator_degrees"])
+                      for c in report.counterexamples)
+    assert degrees == {(2, 3): 240, (2, 4): 30}
+
+
 def test_shellable_implies_quotients_report():
     # a shelling exists exactly when the dual's Stanley-Reisner ideal has
     # linear quotients (a shellable chain, and a non-shellable closed strip)
