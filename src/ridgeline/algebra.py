@@ -19,7 +19,12 @@ A window's homology depends only on the restriction of the ideal to it, and
 restrictions repeat across the windows of one ideal and across the ideals of
 a corpus. The scan therefore keeps one bounded memo per field, keyed by the
 generators inside the window relabelled onto the window's positions in
-order; there is no cache of whole tables.
+order; there is no cache of whole tables. A window that misses the memo is
+first strongly collapsed: a vertex whose link is a cone is dropped, which
+keeps the homotopy type and so the homology over any field (Barmak-Minian,
+strong homotopy types). A window that collapses to a point needs no rank;
+any other is answered from its core, itself a window looked up in the same
+memo, so ranks are taken only for cores that miss.
 
 On top of the table sit regularity, linear resolutions, linear quotients,
 the dual criterion for Cohen-Macaulayness and the chordal-complement test for
@@ -236,6 +241,63 @@ _WINDOW_MEMO_CAP = 1 << 15  # windows per field; bounds the memo's memory
 _window_memos = {choice: {} for choice in FieldChoice}
 
 
+def _strong_core(key: tuple, j: int):
+    """Strong collapse of the window complex of ``key`` to its core.
+
+    ``key`` is a window's memo key: sorted generator masks covering bits
+    0..j-1. The link of bit b is the set of ``g ^ b`` over the generators g
+    through b. An empty link, at the start or after a drop, makes b a cone
+    point, and the answer is None: the complex is contractible. While some vertex u has
+    ``link(u) <= link(v)`` for a vertex v != u, v is dropped with the
+    generators through v. Every face σ with v in σ and u not in σ then has
+    σ ∪ u a face (a generator g inside σ ∪ u would put the generator
+    (g - u) ∪ v inside σ), so the link of v in the complex is a cone with
+    apex u and dropping v is a strong collapse (Barmak-Minian), which keeps
+    the homotopy type. For an edge ideal this is the fold N(u) ⊆ N(v).
+
+    Returns ``(core_key, c)``: the core's generators moved onto its c
+    vertices in order, which is itself a memo key of a c-vertex window.
+    """
+    links = {}
+    for b in range(j):
+        bit = 1 << b
+        link = {g ^ bit for g in key if g & bit}
+        if not link:
+            return None
+        links[bit] = link
+    gens = key
+    alive = (1 << j) - 1
+    while True:
+        for v, lv in links.items():
+            for u, lu in links.items():
+                if lu <= lv and u != v:
+                    break
+            else:
+                continue
+            break
+        else:
+            return tuple(_compressed(gens, alive)), len(links)
+        del links[v]
+        alive ^= v
+        for g in gens:
+            if g & v:
+                rest = g ^ v
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    link = links[bit]
+                    link.discard(g ^ bit)
+                    if not link:
+                        return None
+        gens = [g for g in gens if not g & v]
+
+
+def _remember(memo: dict, key: tuple, hom: tuple) -> None:
+    if len(memo) >= _WINDOW_MEMO_CAP:
+        memo.clear()
+    memo[key] = hom
+
+
 def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     """Reduced homology of the restriction to each window W of the generator
     support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
@@ -253,13 +315,21 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     homology over any field, and the moved masks are exactly what the
     non-face indicator of W is built from, so equal keys mean equal ``hom``.
     |W| is implied: the cover test makes the moved masks cover all |W|
-    positions. A ``hom`` enters the memo only after its ranks are checked,
-    and the memo is emptied when it reaches ``_WINDOW_MEMO_CAP`` entries.
+    positions.
+
+    A window that misses the memo is strongly collapsed to its core
+    (``_strong_core``), which keeps homology over any field. A cone settles
+    to all zeros without a rank. Any other core is itself a window, so its
+    ``hom`` is looked up in the same memo under the core's key and ranked
+    only on a miss; the window's ``hom`` is the core's, padded with zeros to
+    length |W| + 1. A ``hom`` enters the memo only after its ranks are
+    checked, and the memo is emptied when it reaches ``_WINDOW_MEMO_CAP``
+    entries, whichever kind of key is stored.
     """
     _check_ambient_cap(len(ideal.ambient), "Hochster scan")
     supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
     s = len(supp)
-    gen_masks = _masks_of(ideal.generators, supp)
+    gen_masks = sorted(_masks_of(ideal.generators, supp))
     if size is None:
         windows = range(1, 1 << s)
     else:
@@ -275,19 +345,28 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
         if cover != w_mask:
             continue
         j = w_mask.bit_count()
-        key = tuple(sorted(_compressed(inside, w_mask)))
+        # compression keeps the order of subsets of W, so the key is sorted
+        key = tuple(_compressed(inside, w_mask))
         hom = memo.get(key)
         if hom is None:
-            if field is FieldChoice.GF2:
-                fvec, ranks = kernels.ranks_of_nonface_complex(gen_masks, w_mask)
+            core = _strong_core(key, j)
+            if core is None:
+                hom = (0,) * (j + 1)
             else:
-                fvec, ranks = _rational_ranks(*nonface_indicator(gen_masks, w_mask))
-            hom = tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(j + 1))
-            if min(hom) < 0:
-                raise RidgelineError("negative homology rank: kernel inconsistency")
-            if len(memo) >= _WINDOW_MEMO_CAP:
-                memo.clear()
-            memo[key] = hom
+                core_key, c = core
+                hom = memo.get(core_key)
+                if hom is None:
+                    if field is FieldChoice.GF2:
+                        fvec, ranks = kernels.ranks_of_nonface_complex(core_key, (1 << c) - 1)
+                    else:
+                        fvec, ranks = _rational_ranks(*nonface_indicator(core_key, (1 << c) - 1))
+                    hom = tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(c + 1))
+                    if min(hom) < 0:
+                        raise RidgelineError("negative homology rank: kernel inconsistency")
+                    if c < j:  # else the core is the window, stored below
+                        _remember(memo, core_key, hom)
+                hom += (0,) * (j - c)
+            _remember(memo, key, hom)
         yield j, hom
 
 

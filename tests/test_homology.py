@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
-from ridgeline import kernels
+from ridgeline import algebra, kernels
 from ridgeline.algebra import _rational_ranks
 from ridgeline.complexes import facet_indicator, nonface_indicator
 from oracles import (
@@ -190,3 +190,69 @@ def test_property_kernel_contract_matches_oracle(n, masks, w_mask):
     fvec, ranks = kernels.ranks_of_nonface_complex(masks, w_mask)
     assert fvec == _face_counts(facets, w_mask.bit_count()) and len(ranks) == len(fvec)
     assert _homology(fvec, ranks) == oracle_homology(facets, "gf2")
+
+
+def _direct_hom(key, j, field):
+    """``hom`` of a j-vertex window from its own ranks, with no collapse."""
+    if field == "gf2":
+        fvec, ranks = kernels.ranks_of_nonface_complex(key, (1 << j) - 1)
+    else:
+        fvec, ranks = _rational_ranks(*nonface_indicator(key, (1 << j) - 1))
+    return tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(j + 1))
+
+
+def _scanned_hom(key, j, field):
+    """``hom`` of the one j-vertex window of the ideal with generators
+    ``key``, from the scan: a memo miss goes through the window's core."""
+    ideal = rl.monomial_ideal([_vertices(m) for m in key], range(1, j + 1))
+    ((size, hom),) = algebra._hochster_scan(ideal, algebra._field(field), j)
+    assert size == j
+    return hom
+
+
+def test_core_route_matches_direct_route_exhaustive_n5():
+    # every antichain covering 1..j for j <= 5 is the key of a j-vertex
+    # window; one memo serves the whole sweep, so cores are looked up as
+    # windows of their own, some already ranked and some not
+    keys = []
+    for j in range(1, 6):
+        for family in antichains(range(1, j + 1)):
+            if set().union(*map(set, family)) == set(range(1, j + 1)):
+                keys.append((tuple(sorted(_masks(family, j))), j))
+    assert len(keys) == 7020
+    assert sum(algebra._strong_core(key, j) is None for key, j in keys) == 672
+    for field in ("gf2", "rational"):
+        clear_window_memos()
+        for key, j in keys:
+            assert _scanned_hom(key, j, field) == _direct_hom(key, j, field), (key, field)
+
+
+@st.composite
+def _covering_keys(draw):
+    """(key, j, perm): a window key on 6..8 vertices, its generators an
+    antichain covering every vertex, and a permutation of the vertices."""
+    j = draw(st.integers(6, 8))
+    masks = draw(st.lists(st.integers(1, (1 << j) - 1), min_size=1, max_size=10))
+    gens = {m for m in masks if not any(o != m and o & m == o for o in masks)}
+    cover = 0
+    for m in gens:
+        cover |= m
+    gens |= {1 << b for b in range(j) if not cover >> b & 1}
+    return tuple(sorted(gens)), j, draw(st.permutations(range(j)))
+
+
+@given(_covering_keys(), st.sampled_from(["gf2", "rational"]))
+@settings(max_examples=120, deadline=None)
+def test_property_core_route_matches_direct_route_and_relabelling(case, field):
+    key, j, perm = case
+    moved = tuple(sorted(sum(1 << perm[b] for b in range(j) if m >> b & 1) for m in key))
+    clear_window_memos()
+    hom = _scanned_hom(key, j, field)
+    assert hom == _direct_hom(key, j, field)
+    clear_window_memos()
+    assert _scanned_hom(moved, j, field) == hom
+    # a strong core is unique up to isomorphism (Barmak-Minian), so the
+    # collapse leaves as many vertices whatever the labels
+    core, moved_core = algebra._strong_core(key, j), algebra._strong_core(moved, j)
+    assert (core is None) == (moved_core is None)
+    assert core is None or core[1] == moved_core[1]

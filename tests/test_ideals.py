@@ -383,6 +383,38 @@ def test_window_memo_matches_cold_route_exhaustive_n5():
                             I.generators, I.ambient, i, j, of), (I, field, i, j)
 
 
+def test_window_memo_clear_empties_core_entries_too(monkeypatch):
+    # the edge ideal of C5 with the pendant edge 1-6: N(6) lies in N(2) and
+    # in N(5), so the 6-vertex window collapses to the core {1, 3, 4, 6}
+    # with edges {3, 4} and {1, 6}, a square, and beta_{4,6} = 1
+    from ridgeline import kernels
+
+    I = rl.edge_ideal(rl.Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)]))
+    window_key, core_key = (3, 6, 12, 17, 24, 33), (6, 9)
+    assert algebra._strong_core(window_key, 6) == (core_key, 4)
+    calls = []
+
+    def counted(rank):
+        def wrapper(*args):
+            calls.append(args)
+            return rank(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "ranks_of_nonface_complex", counted(kernels.ranks_of_nonface_complex))
+    monkeypatch.setattr(algebra, "_rational_ranks", counted(algebra._rational_ranks))
+    for field in rl.FieldChoice:
+        memo = algebra._window_memos[field]
+        for round_ in (1, 2):
+            clear_window_memos()
+            assert not memo
+            assert rl.beta_in_degree(I, 4, 6, field) == 1
+            assert set(memo) == {window_key, core_key}
+            assert memo[window_key] == memo[core_key] + (0, 0)
+            assert len(calls) == round_
+            assert rl.beta_in_degree(I, 4, 6, field) == 1 and len(calls) == round_
+        calls.clear()
+
+
 class _SizeWatch(dict):
     """A memo that records the most entries it ever held."""
 
