@@ -52,8 +52,8 @@ RANDOM_CORPORA = (
 # denser row, whose whole rational and GF(2) tables the window scan fills
 FROBERG_CORPORA = tuple(c for c in RANDOM_CORPORA if c[2] == 2) + (("random", 7, 2, 12, 15),)
 
-# Stanley-Reisner ideals with generators of degrees 2 and 3, so the scan runs
-# on ideals that are not edge ideals
+# its Stanley-Reisner ideals have generators of two degrees (2 and 3, or 2
+# and 4), so the scan runs on ideals that are not edge ideals
 COROLLARY_CORPUS = ("exhaustive", 5, 3, 5)
 
 STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
