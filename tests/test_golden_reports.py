@@ -1,5 +1,6 @@
-"""Frozen report bytes: sha256 digests of ``verify(...).to_json()`` and of
-``render_analysis`` output over small seeded and file corpora.
+"""Frozen report bytes: sha256 digests of ``verify(...).to_json()``, of
+``render_analysis`` output and of the JSON that ``ridgeline analyze --json``
+and ``ridgeline linegraph`` print, over small seeded and file corpora.
 
 The digests pin every confirmation, counterexample diagnostic and skip
 reason (including the messages of non-pure, facet-size-1, degenerate and
@@ -9,7 +10,9 @@ an intended change of the report contents: ``python tests/test_golden_reports.py
 prints the current digests.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 
@@ -21,6 +24,7 @@ from oracles import (
     oracle_has_induced_star,
     oracle_minor_chase,
 )
+from ridgeline.cli import main
 from ridgeline.harness import _chordal_hypotheses, _iter_corpus, _ridge_graph
 
 # file corpus; a document without a name is reported under its path, so the
@@ -84,6 +88,11 @@ ANALYZED = {
     "nonpure": ([[1, 2, 3], [3, 4]], None),
 }
 
+# twelve facets, so that the "facet_of" keys "10" to "12" of the linegraph
+# JSON sort before "2" as strings
+LINEGRAPH_FACETS = ((1, 2, 5), (1, 4, 5), (1, 4, 7), (1, 5, 6), (2, 3, 4), (2, 3, 5),
+                    (2, 6, 7), (3, 4, 5), (3, 4, 6), (3, 5, 6), (3, 6, 7), (4, 5, 6))
+
 # generated with the code before the bitmask line-graph core
 GOLDEN = {
     'edge-count': 'bfbe368a8409585758bec596d6bb053e0d23e7b71f6b941dd1cec400d818b1a4',
@@ -119,6 +128,13 @@ GOLDEN = {
     'analyze-edges': '5aab9396d2c3d161a0b1def939522f3e43f079d218655efddc4efa4b38b03af1',
     'analyze-sparse': '507b3ac98ed898b771339d30c05f6b569a37b46468c3c17b147a16b3e1aba737',
     'analyze-nonpure': '22590b9eb9377a56f3e6e9a879e9b9415fed4c107114d878261e187984250611',
+    # frozen from json.dumps(..., sort_keys=True, indent=2) before the one
+    # report writer replaced it
+    'analyze-json-bd3': '97d0e96e276dac643d424757f802e3b274318ec0e9023933e53129396fd6c333',
+    'analyze-json-edges': 'a74474cf6a65f5d34b35ab6a3dfa385f915f6c4c5e9b2c3da5af0099eebeac68',
+    'analyze-json-sparse': '582853f473100393dd9d1f8676f8b26af21131045b72e1906f0ed3412ca707a7',
+    'analyze-json-nonpure': 'd57be185e930903b1c60311c8f819d6bd969aaf430764ce88152d3491480389d',
+    'linegraph-12': '88af3175ff8b6dfbf661cdac33d9c6bf8a93ef248eee9ac7c23056281384ab39',
 }
 
 
@@ -129,10 +145,30 @@ def _digest(chunks) -> str:
     return h.hexdigest()
 
 
+def _cli_files() -> dict:
+    """The documents the CLI digests read: one named JSON document per
+    complex of ANALYZED, and the facets of LINEGRAPH_FACETS as text."""
+    out = {}
+    for key, (facets, ambient) in ANALYZED.items():
+        doc = {"facets": facets, "name": key}
+        if ambient is not None:
+            doc["ambient"] = list(ambient)
+        out[f"analyze-{key}.json"] = json.dumps(doc)
+    out["lg12.txt"] = "".join(" ".join(map(str, f)) + "\n" for f in LINEGRAPH_FACETS)
+    return out
+
+
 def _write_files(directory) -> None:
-    for name, text in FILES.items():
+    for name, text in {**FILES, **_cli_files()}.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _cli_stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
 
 
 def _verify_json(theorem, corpus, seed=3, budget=None, field="gf2") -> str:
@@ -161,6 +197,8 @@ def current_digests() -> dict:
     for key, (facets, ambient) in ANALYZED.items():
         cx = rl.from_facets(facets, ambient)
         out[f"analyze-{key}"] = _digest([rl.render_analysis(rl.analyze(cx, name=key))])
+        out[f"analyze-json-{key}"] = _digest([_cli_stdout(["analyze", f"analyze-{key}.json", "--json"])])
+    out["linegraph-12"] = _digest([_cli_stdout(["linegraph", "lg12.txt"])])
     return out
 
 
