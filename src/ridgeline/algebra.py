@@ -42,6 +42,7 @@ from . import kernels
 from .complexes import (
     SimplicialComplex,
     _check_ambient_cap,
+    _check_complex,
     _compressed,
     _faces_by_cardinality,
     _masks_of,
@@ -112,6 +113,7 @@ def monomial_ideal(generators, ambient=None) -> MonomialIdeal:
 
 def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """Ideal generated by the facet supports."""
+    _check_complex(cx)
     if any(len(f) == 0 for f in cx.facets):
         raise EmptyInput("the empty facet generates the unit ideal")
     return MonomialIdeal(cx.ambient, tuple(sorted(cx.facets)))
@@ -119,6 +121,7 @@ def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """Ideal generated by the minimal non-faces."""
+    _check_complex(cx)
     gens = minimal_nonfaces(cx)
     if any(len(g) == 0 for g in gens):
         raise EmptyInput("a complex with no faces has the unit Stanley-Reisner ideal")
@@ -213,6 +216,7 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=FieldChoice.GF2) -> list
     is empty), entry k is dimension k-1. Faces are enumerated over the
     support, which is capped.
     """
+    _check_complex(cx)
     field = _field(field)
     verts = cx.support
     n = len(verts)
@@ -456,6 +460,7 @@ def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
 def is_cohen_macaulay(cx: SimplicialComplex, field=FieldChoice.GF2) -> bool:
     """Dual criterion: the Stanley-Reisner ideal of the dual complex has a
     linear resolution exactly when the complex is Cohen-Macaulay."""
+    _check_complex(cx)
     dual = alexander_dual(cx)
     if dual.is_empty:
         raise DegenerateDual("the full simplex has a void dual; nothing to test")

@@ -18,6 +18,7 @@ from .algebra import beta_in_degree, betti_table, facet_ideal
 from .errors import BudgetExceeded, RidgelineError
 from .harness import (
     _iter_corpus,
+    _report_text,
     analyze,
     parse_document,
     render_analysis,
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     cx, name = _read_document(args.file)
     report = analyze(cx, field=args.field, name=name, budget=args.budget)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _report_text(report)
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text if args.json else render_analysis(report))
@@ -115,7 +116,7 @@ def _cmd_linegraph(args) -> int:
         "edge_count": lg.graph.edge_count(),
         "ridge_counts": list(ridge_counts(cx)),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _report_text(doc)
     if args.out:
         Path(args.out).write_text(text)
     else:

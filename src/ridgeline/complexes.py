@@ -125,6 +125,7 @@ def from_facets(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None = 
 
 def dimension(cx: SimplicialComplex) -> int:
     """max |F| - 1 over facets; -1 for the empty complex."""
+    _check_complex(cx)
     if cx.is_empty:
         return -1
     return max(len(f) for f in cx.facets) - 1
@@ -132,12 +133,14 @@ def dimension(cx: SimplicialComplex) -> int:
 
 def is_pure(cx: SimplicialComplex) -> bool:
     """Whether all facets share one cardinality (vacuously true when empty)."""
+    _check_complex(cx)
     sizes = {len(f) for f in cx.facets}
     return len(sizes) <= 1
 
 
 def facet_size(cx: SimplicialComplex) -> int:
     """Common facet cardinality of a pure complex."""
+    _check_complex(cx)
     if cx.is_empty:
         raise EmptyInput("empty complex has no facet size")
     if not is_pure(cx):
@@ -159,6 +162,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """Complex whose facets are the ambient-complements of the facets."""
+    _check_complex(cx)
     if cx.is_empty:
         raise EmptyInput("empty complex has no complement complex")
     amb = set(cx.ambient)
@@ -190,6 +194,7 @@ def minimal_nonfaces(cx: SimplicialComplex) -> tuple:
     A set S qualifies exactly when S is not a face while every S minus one
     vertex is. The empty complex has the empty set as its minimal non-face.
     """
+    _check_complex(cx)
     amb = cx.ambient
     n = len(amb)
     _check_ambient_cap(n, "minimal_nonfaces")
@@ -216,6 +221,7 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     is the full simplex on its ambient there are no non-faces and the result
     is the empty complex (flagged via ``is_empty``).
     """
+    _check_complex(cx)
     if cx.is_empty:
         raise EmptyInput("empty complex has no dual here; it would be the full simplex")
     amb = set(cx.ambient)
@@ -270,6 +276,7 @@ def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
     their union with v removed. A vertex in at most one facet qualifies
     vacuously, so free vertices are always simplicial.
     """
+    _check_complex(cx)
     if v not in cx.ambient:
         raise UnknownVertex(f"vertex {v} is not in the ambient set")
     return _simplicial_bit(*_split(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)))
@@ -456,6 +463,7 @@ def clutter(circuits: Iterable[Iterable[int]], ambient: Iterable[int] | None = N
 
 def clutter_of_complex(cx: SimplicialComplex) -> Clutter:
     """The facets of a complex viewed as circuits."""
+    _check_complex(cx)
     return Clutter(cx.ambient, cx.facets)
 
 

@@ -17,6 +17,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from json.encoder import encode_basestring_ascii as _escape
 from math import comb
 
 from .algebra import (
@@ -32,6 +33,7 @@ from .algebra import (
 )
 from .complexes import (
     SimplicialComplex,
+    _check_complex,
     alexander_dual,
     clutter_of_complex,
     complement_complex,
@@ -88,6 +90,7 @@ from .linegraph import (
 
 def complex_document(cx: SimplicialComplex, name: str | None = None) -> dict:
     """Plain-dict form of a complex (the shape the JSON format uses)."""
+    _check_complex(cx)
     doc = {
         "ambient": [int(v) for v in cx.ambient],
         "facets": [[int(v) for v in f] for f in cx.facets],
@@ -154,6 +157,7 @@ def parse_complex(data) -> SimplicialComplex:
 
 def serialize_complex(cx: SimplicialComplex, name: str | None = None) -> bytes:
     """Canonical JSON bytes; parse_complex inverts this exactly."""
+    _check_complex(cx)
     doc = complex_document(cx, name)
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
@@ -284,7 +288,59 @@ class VerifyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _report_text(self.to_dict())
+
+
+_INT_ONLY = {int}
+
+
+def _report_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"`` for a report
+    value, built of plain dicts with str keys, lists, tuples and scalars.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder, so report
+    bytes are written here instead, from the pieces ``json`` itself uses:
+    the C string escape, ``int.__repr__`` and, for any other scalar,
+    ``json.dumps``. A list of plain ints is one join; facets and ambients
+    repeat across a report's documents, so those joins are kept per call,
+    keyed by indent and items.
+    """
+    return _render(value, "\n", {}) + "\n"
+
+
+def _render(value, nl: str, memo: dict) -> str:
+    """``value`` as indented JSON whose lines break with ``nl``, the newline
+    and indent of the line it starts on."""
+    t = type(value)
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        # bool is an int subclass, so plain ints are matched by type
+        if set(map(type, value)) == _INT_ONLY:
+            key = (inner, tuple(value))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
+            return text
+        return "[" + inner + ("," + inner).join([_render(x, inner, memo) for x in value]) + nl + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_escape(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]) + nl + "}")
+    if t is str:
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if t is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 CONFIRMED = "confirmed"
@@ -756,6 +812,7 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     prediction vs the homological answer, chordality on both levels,
     shellability, Cohen-Macaulayness, and the edge-ideal comparison when the
     facets are edges."""
+    _check_complex(cx)
     field = _field(field)
     report: dict = {
         "name": name,

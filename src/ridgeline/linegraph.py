@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _masks_of, facet_size, from_facets, is_pure
+from .complexes import (
+    SimplicialComplex,
+    _check_complex,
+    _masks_of,
+    facet_size,
+    from_facets,
+    is_pure,
+)
 from .errors import (
     BadParameters,
     Budget,
@@ -31,6 +38,7 @@ from .errors import (
     EmptyInput,
     NotPure,
     RidgelineError,
+    search_budget,
 )
 from .graphs import Graph, _bits, _check_graph, _check_int
 
@@ -98,6 +106,7 @@ def _is_complete(rows: tuple) -> bool:
 
 def line_graph(cx: SimplicialComplex) -> LabeledLineGraph:
     """Line graph of a pure complex of facet size at least 2."""
+    _check_complex(cx)
     d = _require_pure(cx)
     if d < 2:
         raise DimensionTooSmall("line graph needs facets of size at least 2")
@@ -110,6 +119,7 @@ def ridge_counts(cx: SimplicialComplex) -> tuple:
     Counted pair by pair on the facet masks, apart from the adjacency rows,
     so that ``edge_count_formula`` compares two routes.
     """
+    _check_complex(cx)
     d = _require_pure(cx)
     masks = _masks_of(cx.facets, cx.support)
     return tuple(
@@ -124,6 +134,7 @@ def edge_count_formula(cx: SimplicialComplex) -> int:
     Cross-checked against the constructed graph (and its degree sum) whenever
     the line graph itself is defined.
     """
+    _check_complex(cx)
     total = sum(ridge_counts(cx))
     if facet_size(cx) >= 2:
         g = line_graph(cx).graph
@@ -142,6 +153,7 @@ def classify_triangles(cx: SimplicialComplex) -> tuple:
     after j. Facet size 1, where the line graph constructor refuses to run, still
     classifies.
     """
+    _check_complex(cx)
     _require_pure(cx)
     d, masks, rows = _ridge_adjacency(cx)
     out = []
@@ -170,12 +182,15 @@ def count_Nt(cx: SimplicialComplex, interp: NtInterpretation,
     AllSimplexType counts every simplex-type triangle. MaxDisjoint takes the
     largest family of pairwise vertex-disjoint simplex-type triangles (exact
     branch and bound). Isolated keeps only simplex-type triangles sharing no
-    vertex with any other triangle of the line graph.
+    vertex with any other triangle of the line graph. The budget is checked
+    under every reading, though only MaxDisjoint spends it.
     """
+    _check_complex(cx)
     try:
         interp = NtInterpretation(interp)
     except ValueError:
         raise BadParameters(f"unknown Nt interpretation {interp!r}") from None
+    search_budget(budget)
     return _nt_count(classify_triangles(cx), interp, budget)
 
 
@@ -210,7 +225,8 @@ def _max_disjoint(masks: list, idx: int, used: int, size: int, best: int, spend)
 def predicted_beta2(cx: SimplicialComplex, interp: NtInterpretation,
                     budget: int | None = None) -> int:
     """Edge count of the line graph minus the chosen correction term."""
-    return edge_count_formula(cx) - count_Nt(cx, interp, budget)
+    nt = count_Nt(cx, interp, budget)  # checks every argument first
+    return edge_count_formula(cx) - nt
 
 
 CONE = "Cone"
@@ -227,6 +243,7 @@ def characterize_complete(cx: SimplicialComplex) -> str:
     vertices, one of the two shapes must apply; a Neither answer there is an
     internal contradiction and raises.
     """
+    _check_complex(cx)
     _require_pure(cx)
     return _complete_shape(*_ridge_adjacency(cx))
 

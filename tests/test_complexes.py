@@ -1,5 +1,7 @@
 """Complex construction, duals, minors, chordality, shellability."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +291,37 @@ def test_shelling_search_matches_set_oracle_step_for_step():
                              lambda budget: _oracle_shelling(cx, budget))
         verdicts.add(rl.is_shellable(cx) is None)
     assert verdicts == {True, False}
+
+
+# a valid value for each required parameter after ``cx``
+_LATER_ARGS = {"interp": "all", "v": 1}
+
+
+def test_every_public_complex_function_refuses_a_non_complex():
+    """Each public function whose first parameter is ``cx`` raises the typed
+    BadParameters for a string, never an AttributeError from inside."""
+    walked = []
+    for name in sorted(dir(rl)):
+        func = getattr(rl, name)
+        if name.startswith("_") or not inspect.isfunction(func):
+            continue
+        params = inspect.signature(func).parameters
+        if next(iter(params), None) != "cx":
+            continue
+        later = [_LATER_ARGS[p] for p, spec in list(params.items())[1:]
+                 if spec.default is inspect.Parameter.empty]
+        with pytest.raises(rl.BadParameters, match="expected a SimplicialComplex, got str"):
+            func("x", *later)
+        walked.append(name)
+    assert {
+        "analyze", "complex_document", "serialize_complex",
+        "line_graph", "ridge_counts", "edge_count_formula", "classify_triangles",
+        "predicted_beta2", "characterize_complete", "count_Nt",
+        "facet_size", "is_pure", "dimension",
+        "complement_complex", "alexander_dual", "minimal_nonfaces", "is_simplicial_vertex",
+        "clutter_of_complex", "facet_ideal", "stanley_reisner_ideal", "reduced_homology_ranks",
+        "is_cohen_macaulay", "is_chordal_complex", "is_shellable",
+    } <= set(walked)
 
 
 def test_single_swap_order_validates():

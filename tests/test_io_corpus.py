@@ -5,10 +5,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ridgeline as rl
+from ridgeline.harness import _report_text
 
 
 def test_parse_json_document():
@@ -185,3 +186,37 @@ def test_property_serialize_parse_identity(n, d, r, seed):
     blob = json.dumps(doc).encode()
     got, name = rl.parse_document(blob)
     assert got == cx and name == "x"
+
+
+# strings with quotes, backslashes, control and non-ASCII characters, and a
+# lone surrogate, which the escape writes as a \uXXXX sequence
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\ud800", "a\nb\tc"]))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e300, float("inf"), float("-inf"), float("nan")]),
+    _TEXT,
+)
+# int lists with True and False mixed in, written one way and the other
+_INT_LISTS = st.lists(st.one_of(st.integers(-(2 ** 70), 2 ** 70), st.booleans()), max_size=5)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _INT_LISTS, _INT_LISTS.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+# the same int list at two indents, and beside an equal-comparing bool list
+@example({"b": [1, 2], "a": [[1, 2], (1, 2)], "10": [[True, 2], [1, 2]], "2": {}})
+@example([[], {}, (), [0], [False], -(2 ** 64) - 1, 2 ** 64])
+def test_property_report_text_is_json_dumps_byte_for_byte(value):
+    assert _report_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -163,6 +163,25 @@ def test_unknown_nt_interpretation_is_typed():
             query(cx, "bogus")
 
 
+def test_nt_budget_is_checked_under_every_reading(monkeypatch):
+    cx = rl.from_facets(BD3)
+    for interp in rl.NtInterpretation:
+        for query in (rl.count_Nt, rl.predicted_beta2):
+            for bad in (-1, 0, True, 1.5, "3"):
+                with pytest.raises(rl.BadParameters, match="budget must be a positive integer"):
+                    query(cx, interp, bad)
+            # a good budget of one step is spent by the max-disjoint search only
+            if interp is rl.NtInterpretation.MaxDisjointSimplexType:
+                with pytest.raises(rl.BudgetExceeded):
+                    query(cx, interp, 1)
+            else:
+                assert query(cx, interp, 1) == query(cx, interp)
+    monkeypatch.setenv("FRL_BUDGET", "many")
+    for interp in rl.NtInterpretation:
+        with pytest.raises(rl.BadParameters, match="FRL_BUDGET"):
+            rl.count_Nt(cx, interp)
+
+
 def test_characterize_complete():
     assert rl.characterize_complete(rl.make_cone(5, 3)) == rl.CONE
     assert rl.characterize_complete(rl.make_simplex_subsets(3, 4)) == rl.SIMPLEX_SUBSETS

@@ -233,15 +233,17 @@ def test_property_line_graph_verdicts_invariant_under_relabelling(n, d, r, seed,
     moved = [rnd.sample([labels[v - 1] for v in f], d) for f in facets]
     rnd.shuffle(moved)
     with tempfile.TemporaryDirectory() as tmp:
-        for theorem in ("clique-partition", "star-free", "edge-count", "complete"):
+        for theorem in ("clique-partition", "star-free", "edge-count", "complete",
+                        "chordal-main", "dual-chordal"):
             # a witness partition may differ; the verdict and its diagnostic may not
             assert (_verdicts(theorem, facets, Path(tmp) / "a.txt")
                     == _verdicts(theorem, moved, Path(tmp) / "b.txt")), theorem
-        # a deltac diagnostic names a facet pair by facet order, so only the
-        # counts must agree
-        conf_a, diags_a, skips_a = _verdicts("deltac", facets, Path(tmp) / "a.txt")
-        conf_b, diags_b, skips_b = _verdicts("deltac", moved, Path(tmp) / "b.txt")
-        assert (conf_a, len(diags_a), len(skips_a)) == (conf_b, len(diags_b), len(skips_b))
+        # a deltac diagnostic names a facet pair by facet order, and a
+        # shelling order may differ, so only the counts must agree
+        for theorem in ("deltac", "shellable-connected"):
+            conf_a, diags_a, skips_a = _verdicts(theorem, facets, Path(tmp) / "a.txt")
+            conf_b, diags_b, skips_b = _verdicts(theorem, moved, Path(tmp) / "b.txt")
+            assert (conf_a, len(diags_a), len(skips_a)) == (conf_b, len(diags_b), len(skips_b)), theorem
 
 
 def test_cli_generate_round_trip(tmp_path, capsys):
