@@ -300,15 +300,15 @@ def _report_text(value) -> str:
 
     Any ``indent`` sends ``json`` to its pure-Python encoder, so report
     bytes are written here instead, from the pieces ``json`` itself uses:
-    the C string escape, ``int.__repr__`` and, for any other scalar,
-    ``json.dumps``. A list of plain ints is one join; facets and ambients
-    repeat across a report's documents, so those joins are kept per call,
-    keyed by indent and items.
+    the C string escape, ``int.__repr__`` and, for floats, ``json.dumps``.
+    A list of plain ints is one join. Any other type, a dict or list
+    subclass too, raises TypeError rather than being written in a form
+    ``json.dumps`` would not give.
     """
-    return _render(value, "\n", {}) + "\n"
+    return _render(value, "\n") + "\n"
 
 
-def _render(value, nl: str, memo: dict) -> str:
+def _render(value, nl: str) -> str:
     """``value`` as indented JSON whose lines break with ``nl``, the newline
     and indent of the line it starts on."""
     t = type(value)
@@ -318,18 +318,14 @@ def _render(value, nl: str, memo: dict) -> str:
         inner = nl + "  "
         # bool is an int subclass, so plain ints are matched by type
         if set(map(type, value)) == _INT_ONLY:
-            key = (inner, tuple(value))
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
-            return text
-        return "[" + inner + ("," + inner).join([_render(x, inner, memo) for x in value]) + nl + "]"
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in value]) + nl + "]"
     if t is dict:
         if not value:
             return "{}"
         inner = nl + "  "
         return ("{" + inner + ("," + inner).join(
-            [_escape(k) + ": " + _render(value[k], inner, memo) for k in sorted(value)]) + nl + "}")
+            [_escape(k) + ": " + _render(value[k], inner) for k in sorted(value)]) + nl + "}")
     if t is str:
         return _escape(value)
     if value is None:
@@ -340,7 +336,9 @@ def _render(value, nl: str, memo: dict) -> str:
         return "false"
     if t is int:
         return int.__repr__(value)
-    return json.dumps(value)
+    if t is float:
+        return json.dumps(value)
+    raise TypeError(f"a report holds no {t.__name__}")
 
 
 CONFIRMED = "confirmed"

@@ -1,6 +1,9 @@
 """File formats, corpus generation, determinism."""
 
 import json
+from collections import Counter, OrderedDict, UserList, defaultdict, namedtuple
+from enum import IntEnum
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -220,3 +223,15 @@ _VALUES = st.recursive(
 @example([[], {}, (), [0], [False], -(2 ** 64) - 1, 2 ** 64])
 def test_property_report_text_is_json_dumps_byte_for_byte(value):
     assert _report_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    OrderedDict(b=1, a=2), defaultdict(list), Counter("ab"), namedtuple("P", "x y")(1, 2),
+    UserList([1]), IntEnum("E", "A").A, Fraction(1, 2), object(), {1: 2},
+])
+def test_report_text_refuses_a_type_no_report_holds(value):
+    """A container subclass or foreign scalar fails loudly, also inside a
+    list, rather than being written in a form json.dumps would not give."""
+    for doc in (value, [value]):
+        with pytest.raises(TypeError):
+            _report_text(doc)
