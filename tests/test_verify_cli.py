@@ -121,6 +121,20 @@ def test_nonpure_file_becomes_skip(tmp_path):
     assert rep.instances == 1 and rep.trials == 0 and len(rep.skips) == 1
 
 
+def test_betti2_tabulation_holds_every_reading_with_no_trial(tmp_path):
+    """The interpretation counts start at zero and stay there when no
+    instance is evaluated: an empty random corpus, or a files corpus whose
+    only complex is skipped as non-pure."""
+    p = tmp_path / "np.txt"
+    p.write_text("1 2\n3 4 5\n")
+    empty = {"matches": 0, "mismatches": 0, "first_mismatch": None}
+    for corpus in [("random", 8, 3, 5, 0), ("files", (str(p),))]:
+        rep = verify("betti2", corpus, stable_time=True)
+        assert rep.trials == 0
+        assert rep.tabulation == {"interpretations": {
+            tag: empty for tag in ("all", "max_disjoint", "isolated")}}
+
+
 def test_cli_analyze_text_and_json(tmp_path, capsys):
     f = tmp_path / "c.txt"
     f.write_text("1 2 3\n2 3 4\n")
