@@ -46,7 +46,6 @@ from .complexes import (
     _compressed,
     _faces_by_cardinality,
     _masks_of,
-    alexander_dual,
     as_face,
     dimension,
     facet_indicator,
@@ -89,6 +88,12 @@ class MonomialIdeal:
 
     ambient: tuple
     generators: tuple
+
+
+def _check_ideal(ideal) -> None:
+    """Refuse anything but a MonomialIdeal, once at the entry of an ideal routine."""
+    if not isinstance(ideal, MonomialIdeal):
+        raise BadParameters(f"expected a MonomialIdeal, got {type(ideal).__name__}")
 
 
 def monomial_ideal(generators, ambient=None) -> MonomialIdeal:
@@ -364,9 +369,7 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
                         fvec, ranks = kernels.ranks_of_nonface_complex(core_key, (1 << c) - 1)
                     else:
                         fvec, ranks = _rational_ranks(*nonface_indicator(core_key, (1 << c) - 1))
-                    hom = tuple(fvec[p] - ranks[p] - ranks[p + 1] for p in range(c + 1))
-                    if min(hom) < 0:
-                        raise RidgelineError("negative homology rank: kernel inconsistency")
+                    hom = tuple(_homology_from_ranks(fvec, ranks, c - 1))
                     if c < j:  # else the core is the window, stored below
                         _remember(memo, core_key, hom)
                 hom += (0,) * (j - c)
@@ -382,6 +385,7 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
     routine; the implicit beta_{0,0} = 1 is not stored. The first syzygies
     are checked against the generator count on every table.
     """
+    _check_ideal(ideal)
     field = _field(field)
     entries: dict = {}
     for j, hom in _hochster_scan(ideal, field):
@@ -396,6 +400,7 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
 
 def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
     """One graded Betti number of S/I (so (0,0) gives 1)."""
+    _check_ideal(ideal)
     _check_int(i, "i")
     _check_int(j, "j")
     if i == 0:
@@ -409,6 +414,7 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) 
     Same value as beta(ideal, i, j, field) but without filling the whole
     table; the large field-agreement sweeps call this.
     """
+    _check_ideal(ideal)
     _check_int(i, "i")
     _check_int(j, "j")
     field = _field(field)
@@ -421,12 +427,14 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) 
 
 def regularity(ideal: MonomialIdeal, field=FieldChoice.GF2) -> int:
     """max(j - i) over the nonzero entries of the table of S/I."""
+    _check_ideal(ideal)
     table = betti_table(ideal, field)
     return max((j - i for (i, j), _ in table.entries), default=0)
 
 
 def has_linear_resolution(ideal: MonomialIdeal, field=FieldChoice.GF2) -> bool:
     """All generators in one degree d and every table entry on j - i = d - 1."""
+    _check_ideal(ideal)
     if not ideal.generators:
         return True
     degrees = {len(g) for g in ideal.generators}
@@ -446,6 +454,7 @@ def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
     condition on the complemented supports, so the shared search runs there.
     Returns the ordered generators, or None.
     """
+    _check_ideal(ideal)
     gens = ideal.generators
     if not gens:
         return ()
@@ -458,13 +467,16 @@ def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, field=FieldChoice.GF2) -> bool:
-    """Dual criterion: the Stanley-Reisner ideal of the dual complex has a
-    linear resolution exactly when the complex is Cohen-Macaulay."""
+    """Dual criterion (Eagon-Reiner): Cohen-Macaulay exactly when the
+    Stanley-Reisner ideal of the Alexander dual, which the complements of
+    the facets generate, has a linear resolution."""
     _check_complex(cx)
-    dual = alexander_dual(cx)
-    if dual.is_empty:
+    if cx.is_empty:
+        raise EmptyInput("empty complex has no dual here; it would be the full simplex")
+    gens = sorted(tuple(v for v in cx.ambient if v not in f) for f in cx.facets)
+    if not gens[0]:
         raise DegenerateDual("the full simplex has a void dual; nothing to test")
-    return has_linear_resolution(stanley_reisner_ideal(dual), field)
+    return has_linear_resolution(MonomialIdeal(cx.ambient, tuple(gens)), field)
 
 
 def froberg_check(g: Graph, field=FieldChoice.GF2) -> dict:

@@ -150,6 +150,8 @@ def facet_size(cx: SimplicialComplex) -> int:
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes on disjoint ambient sets."""
+    _check_complex(a)
+    _check_complex(b)
     if a.is_empty or b.is_empty:
         raise EmptyInput("join needs two nonempty complexes")
     overlap = set(a.ambient) & set(b.ambient)
@@ -180,6 +182,12 @@ def _check_complex(cx) -> None:
     """Refuse anything but a SimplicialComplex, once at the entry of a search."""
     if not isinstance(cx, SimplicialComplex):
         raise BadParameters(f"expected a SimplicialComplex, got {type(cx).__name__}")
+
+
+def _check_clutter(cl) -> None:
+    """Refuse anything but a Clutter, once at the entry of a clutter routine."""
+    if not isinstance(cl, Clutter):
+        raise BadParameters(f"expected a Clutter, got {type(cl).__name__}")
 
 
 def _check_ambient_cap(n: int, what: str) -> None:
@@ -469,6 +477,7 @@ def clutter_of_complex(cx: SimplicialComplex) -> Clutter:
 
 def independence_complex(cl: Clutter) -> SimplicialComplex:
     """Complex of vertex sets containing no circuit."""
+    _check_clutter(cl)
     amb = cl.ambient
     n = len(amb)
     _check_ambient_cap(n, "independence_complex")

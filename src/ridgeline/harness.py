@@ -1,9 +1,10 @@
 """Complex file formats, corpus generation, theorem verification, analysis.
 
 The verify registry runs one named statement against a corpus (seeded random
-complexes, an exhaustive enumeration, or files) and produces a deterministic
-JSON-friendly report: per-instance outcomes are confirmed, counterexample
-(with diagnostics and the serialized complex), or skipped with a reason.
+complexes, an exhaustive enumeration, or files) or a statement's built-in
+grid, and produces a deterministic JSON-friendly report: per-instance outcomes
+are confirmed, counterexample (with diagnostics and the serialized complex),
+or skipped with a reason.
 Hypothesis-unsatisfied instances are skips, never confirmations, so the
 confirmation counts carry no vacuous truth.
 """
@@ -450,6 +451,23 @@ def _check_betti2(cx, field, budget):
     return COUNTEREXAMPLE, diag
 
 
+def _betti2_tabulation():
+    return {"interpretations": {
+        interp.value: {"matches": 0, "mismatches": 0, "first_mismatch": None}
+        for interp in _INTERPS
+    }}
+
+
+def _fold_betti2(tabulation, cx, name, diag):
+    """Count each reading's matches and keep its first mismatch."""
+    for tag, matched in diag["matches"].items():
+        stat = tabulation["interpretations"][tag]
+        stat["matches" if matched else "mismatches"] += 1
+        if not matched and stat["first_mismatch"] is None:
+            stat["first_mismatch"] = {"document": complex_document(cx, name),
+                                      "predicted": diag["predicted"][tag], "oracle": diag["oracle"]}
+
+
 def _check_shellable_connected(cx, field, budget):
     order = is_shellable(cx, budget)
     if order is None:
@@ -505,6 +523,34 @@ def _check_complete(cx, field, budget):
     if complete == (shape != NEITHER):
         return CONFIRMED, {"shape": shape}
     return COUNTEREXAMPLE, {"shape": shape, "line_graph_complete": complete}
+
+
+def _check_cycle(cx, field, budget):
+    """The cyclic-window family has the r-cycle as its line graph.
+
+    Rows of the plain-window branch must have a cycle line graph; padded
+    rows record whichever of C_r / K_r the construction actually yields and
+    count against the literal claim when it is not the cycle. Degrees settle
+    both shapes: C_r is the connected 2-regular graph on r vertices and K_r
+    the (r - 1)-regular one, so no search runs.
+    """
+    r, d = cx.facet_count, facet_size(cx)
+    g = _ridge_graph(cx)
+    is_cyc = all(row.bit_count() == 2 for row in g.adj) and is_connected(g)
+    return (CONFIRMED if is_cyc else COUNTEREXAMPLE), {
+        "r": r,
+        "d": d,
+        "branch": "windows" if d < r - 1 else "padded",
+        "line_graph_is_cycle": is_cyc,
+        "line_graph_is_complete": _is_complete(g.adj),
+    }
+
+
+def _cycle_grid():
+    """The cyclic-window family over the documented grid of (r, d)."""
+    for r in range(4, 9):
+        for d in range(2, r + 2):
+            yield f"cycle-family-r{r}-d{d}", make_cycle_complex(r, d)
 
 
 def _check_chordal_main(cx, field, budget):
@@ -594,13 +640,23 @@ THEOREMS = {
     "clique-partition": _check_clique_partition,
     "c3": _check_c3,
     "complete": _check_complete,
-    "cycle": None,  # generator-driven; handled inside verify()
+    "cycle": _check_cycle,
     "chordal-main": _check_chordal_main,
     "dual-chordal": _check_dual_chordal,
     "corollary-chain": _check_corollary_chain,
     "froberg": _check_froberg,
     "ev-d2": _check_ev_d2,
 }
+
+# A tabulating statement's empty tabulation, and its fold of one evaluated
+# instance (complex, name, diagnostic) into it.
+_TABULATIONS = {
+    "betti2": (_betti2_tabulation, _fold_betti2),
+    "cycle": (lambda: {"rows": []}, lambda tab, cx, name, diag: tab["rows"].append(diag)),
+}
+
+# Statements that run over a built-in grid of instances instead of a corpus.
+_GRIDS = {"cycle": _cycle_grid}
 
 
 _CORPUS_FIELDS = {"random": ("n", "d", "r", "trial count"), "exhaustive": ("n", "d", "r_max")}
@@ -666,47 +722,15 @@ def _corpus_label(corpus) -> str:
     return str(corpus)
 
 
-def _verify_cycle():
-    """Tabulate the cyclic-window family over the documented grid.
-
-    Rows with the plain-window branch must have a cycle line graph; padded
-    rows record whichever of C_r / K_r the construction actually yields and
-    count against the literal claim when it is not the cycle. Degrees settle
-    both shapes: C_r is the connected 2-regular graph on r vertices and K_r
-    the (r - 1)-regular one, so no search runs.
-    """
-    rows = []
-    outcomes = []
-    for r in range(4, 9):
-        for d in range(2, r + 2):
-            cx = make_cycle_complex(r, d)
-            g = _ridge_graph(cx)
-            is_cyc = all(row.bit_count() == 2 for row in g.adj) and is_connected(g)
-            is_complete = _is_complete(g.adj)
-            branch = "windows" if d < r - 1 else "padded"
-            row = {
-                "r": r,
-                "d": d,
-                "branch": branch,
-                "line_graph_is_cycle": is_cyc,
-                "line_graph_is_complete": is_complete,
-            }
-            rows.append(row)
-            doc = complex_document(cx, name=f"cycle-family-r{r}-d{d}")
-            if is_cyc:
-                outcomes.append((CONFIRMED, doc, row))
-            else:
-                outcomes.append((COUNTEREXAMPLE, doc, row))
-    return rows, outcomes
-
-
 def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
            budget: int | None = None, stable_time: bool = False) -> VerifyReport:
     """Run one registered statement over a corpus and build its report.
 
     ``corpus`` is ("random", n, d, r, trials), ("exhaustive", n, d, r_max),
-    ("files", [paths]) or None, which the generator-driven cycle tabulation
-    requires and every other statement refuses. Instance-level budget
+    ("files", [paths]) or None, which a statement over a built-in grid
+    (cycle) requires and every other statement refuses. Every instance,
+    from either source, goes through the statement's checker and, when it
+    is evaluated, through its tabulation fold. Instance-level budget
     exhaustion becomes a skip; budget exhaustion of the corpus enumeration
     itself propagates.
     """
@@ -716,70 +740,42 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
     if budget is not None:
         search_budget(budget)
     field = _field(field)
+    grid = _GRIDS.get(theorem)
+    if grid is not None and corpus is not None:
+        raise BadParameters(f"theorem {theorem!r} tabulates its built-in grid and takes no corpus")
+    if grid is None and corpus is None:
+        raise BadParameters(f"theorem {theorem!r} needs a corpus")
+    checker = THEOREMS[theorem]
+    empty, fold = _TABULATIONS.get(theorem, (lambda: None, None))
+    tabulation = empty()
     start = time.perf_counter()
     confirmations = 0
     counterexamples = []
     skips = []
     instances = 0
-    tabulation = None
-
-    if theorem == "cycle":
-        if corpus is not None:
-            raise BadParameters("theorem 'cycle' tabulates its built-in grid and takes no corpus")
-        rows, outcomes = _verify_cycle()
-        tabulation = {"rows": rows}
-        for status, doc, diag in outcomes:
-            instances += 1
-            if status == CONFIRMED:
-                confirmations += 1
-            else:
-                counterexamples.append({"document": doc, "diagnostic": diag})
-    else:
-        if corpus is None:
-            raise BadParameters(f"theorem {theorem!r} needs a corpus")
-        checker = THEOREMS[theorem]
-        interp_stats = None
-        if theorem == "betti2":
-            interp_stats = {
-                interp.value: {"matches": 0, "mismatches": 0, "first_mismatch": None}
-                for interp in _INTERPS
-            }
-        # only skips, counterexamples and first mismatches keep a document
-        for name, cx in _iter_corpus(corpus, seed, budget):
-            instances += 1
-            if isinstance(cx, RidgelineError):
-                skips.append({"document": {"name": name},
-                              "reason": f"unreadable document: {cx}"})
-                continue
-            try:
-                status, diag = checker(cx, field, budget)
-            except BudgetExceeded as exc:
-                status, diag = SKIP, f"budget exceeded: {exc}"
-            except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual) as exc:
-                status, diag = SKIP, str(exc)
-            if status == SKIP:
-                skips.append({"document": complex_document(cx, name), "reason": diag})
-                continue
-            if interp_stats is not None and isinstance(diag, dict):
-                for tag, matched in diag.get("matches", {}).items():
-                    stat = interp_stats[tag]
-                    if matched:
-                        stat["matches"] += 1
-                    else:
-                        stat["mismatches"] += 1
-                        if stat["first_mismatch"] is None:
-                            stat["first_mismatch"] = {
-                                "document": complex_document(cx, name),
-                                "predicted": diag["predicted"][tag],
-                                "oracle": diag["oracle"],
-                            }
-            if status == CONFIRMED:
-                confirmations += 1
-            else:
-                counterexamples.append({"document": complex_document(cx, name),
-                                        "diagnostic": diag})
-        if interp_stats is not None:
-            tabulation = {"interpretations": interp_stats}
+    # only skips, counterexamples and first mismatches keep a document
+    for name, cx in grid() if grid else _iter_corpus(corpus, seed, budget):
+        instances += 1
+        if isinstance(cx, RidgelineError):
+            skips.append({"document": {"name": name},
+                          "reason": f"unreadable document: {cx}"})
+            continue
+        try:
+            status, diag = checker(cx, field, budget)
+        except BudgetExceeded as exc:
+            status, diag = SKIP, f"budget exceeded: {exc}"
+        except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual) as exc:
+            status, diag = SKIP, str(exc)
+        if status == SKIP:
+            skips.append({"document": complex_document(cx, name), "reason": diag})
+            continue
+        if fold:
+            fold(tabulation, cx, name, diag)
+        if status == CONFIRMED:
+            confirmations += 1
+        else:
+            counterexamples.append({"document": complex_document(cx, name),
+                                    "diagnostic": diag})
 
     elapsed = 0.0 if stable_time else round(time.perf_counter() - start, 3)
     report = VerifyReport(

@@ -10,7 +10,7 @@ Everything here works on one bitmask form. Facet i is the mask m_i whose bit
 p stands for the p-th smallest support vertex (the rule of
 ``complexes._masks_of``), and ``_ridge_adjacency`` sets bit j of row i exactly
 when popcount(m_i & m_j) == d - 1. The line graph is built from those rows,
-triangles are read off them, and the triple intersection of a triangle is
+``graphs.triangles`` reads the triangles off them, and the triple intersection of a triangle is
 popcount(m_i & m_j & m_k). The realizability search builds its candidate
 facets as such masks over the vertices 1..n it has used, and checks each by
 the same popcount rule against the facets chosen before it.
@@ -40,7 +40,7 @@ from .errors import (
     RidgelineError,
     search_budget,
 )
-from .graphs import Graph, _bits, _check_graph, _check_int
+from .graphs import Graph, _bits, _check_graph, _check_int, triangles
 
 
 class TriangleType(Enum):
@@ -148,30 +148,23 @@ def edge_count_formula(cx: SimplicialComplex) -> int:
 def classify_triangles(cx: SimplicialComplex) -> tuple:
     """Each 3-clique of the line graph with its triple-intersection type.
 
-    Triangles (i, j, k), i < j < k, come in lexicographic order: j runs over
-    the later neighbours of i and k over the common neighbours of i and j
-    after j. Facet size 1, where the line graph constructor refuses to run, still
-    classifies.
+    Triangles (i, j, k), i < j < k, come in the lexicographic order of
+    ``graphs.triangles``. Facet size 1, where the line graph constructor
+    refuses to run, still classifies.
     """
     _check_complex(cx)
     _require_pure(cx)
     d, masks, rows = _ridge_adjacency(cx)
     out = []
-    for i, mi in enumerate(masks, start=1):
-        later_i = rows[i - 1] >> i << i
-        for j in _bits(later_i):
-            mij = mi & masks[j - 1]
-            for k in _bits(later_i >> j << j & rows[j - 1]):
-                common = (mij & masks[k - 1]).bit_count()
-                if common == d - 1:
-                    kind = TriangleType.RidgeShared
-                elif common == d - 2:
-                    kind = TriangleType.SimplexType
-                else:  # unreachable: pairwise ridge intersections force d-1 or d-2
-                    raise RidgelineError(
-                        f"triangle {(i, j, k)} has triple intersection of size {common}"
-                    )
-                out.append(((i, j, k), kind))
+    for i, j, k in triangles(Graph.from_adj(rows)):
+        common = (masks[i - 1] & masks[j - 1] & masks[k - 1]).bit_count()
+        if common == d - 1:
+            kind = TriangleType.RidgeShared
+        elif common == d - 2:
+            kind = TriangleType.SimplexType
+        else:  # unreachable: pairwise ridge intersections force d-1 or d-2
+            raise RidgelineError(f"triangle {(i, j, k)} has triple intersection of size {common}")
+        out.append(((i, j, k), kind))
     return tuple(out)
 
 

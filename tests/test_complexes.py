@@ -293,26 +293,33 @@ def test_shelling_search_matches_set_oracle_step_for_step():
     assert verdicts == {True, False}
 
 
-# a valid value for each required parameter after ``cx``
-_LATER_ARGS = {"interp": "all", "v": 1}
+# a valid value for each required parameter after the first
+_LATER_ARGS = {"interp": "all", "v": 1, "i": 2, "j": 3, "b": rl.from_facets([[9]])}
+# the type each walked first parameter must hold
+_FIRST_PARAMS = {"cx": "SimplicialComplex", "a": "SimplicialComplex",
+                 "ideal": "MonomialIdeal", "cl": "Clutter"}
 
 
 def test_every_public_complex_function_refuses_a_non_complex():
-    """Each public function whose first parameter is ``cx`` raises the typed
-    BadParameters for a string, never an AttributeError from inside."""
+    """Each public function whose first parameter is a complex (``cx``, or
+    ``a`` of ``join``), an ideal or a clutter raises the typed BadParameters
+    for a string, never an AttributeError from inside."""
     walked = []
     for name in sorted(dir(rl)):
         func = getattr(rl, name)
         if name.startswith("_") or not inspect.isfunction(func):
             continue
         params = inspect.signature(func).parameters
-        if next(iter(params), None) != "cx":
+        expected = _FIRST_PARAMS.get(next(iter(params), None))
+        if expected is None:
             continue
         later = [_LATER_ARGS[p] for p, spec in list(params.items())[1:]
                  if spec.default is inspect.Parameter.empty]
-        with pytest.raises(rl.BadParameters, match="expected a SimplicialComplex, got str"):
+        with pytest.raises(rl.BadParameters, match=f"expected a {expected}, got str"):
             func("x", *later)
         walked.append(name)
+    with pytest.raises(rl.BadParameters, match="expected a SimplicialComplex, got str"):
+        rl.join(rl.from_facets([[1]]), "y")
     assert {
         "analyze", "complex_document", "serialize_complex",
         "line_graph", "ridge_counts", "edge_count_formula", "classify_triangles",
@@ -321,6 +328,9 @@ def test_every_public_complex_function_refuses_a_non_complex():
         "complement_complex", "alexander_dual", "minimal_nonfaces", "is_simplicial_vertex",
         "clutter_of_complex", "facet_ideal", "stanley_reisner_ideal", "reduced_homology_ranks",
         "is_cohen_macaulay", "is_chordal_complex", "is_shellable",
+        "join", "independence_complex",
+        "betti_table", "beta", "beta_in_degree", "regularity",
+        "has_linear_quotients", "has_linear_resolution",
     } <= set(walked)
 
 

@@ -281,6 +281,43 @@ def test_cohen_macaulay_matches_reisner_exhaustive():
                 assert mine == oracle_is_cm_reisner(family), family
 
 
+def test_cohen_macaulay_ideal_is_the_dual_stanley_reisner_ideal_exhaustive(monkeypatch):
+    """The ideal is_cohen_macaulay tests, built from the facet complements,
+    equals the Stanley-Reisner ideal of the Alexander dual on every family
+    of at most four d-subsets of {1..n}, n <= 6, over its support and over
+    {1..n}; the empty complex and the full simplex raise as that route does."""
+    seen = []
+    monkeypatch.setattr(algebra, "has_linear_resolution", lambda ideal, field: seen.append(ideal))
+
+    def old_route(cx):
+        dual = rl.alexander_dual(cx)
+        if dual.is_empty:
+            raise rl.DegenerateDual("the full simplex has a void dual; nothing to test")
+        return rl.stanley_reisner_ideal(dual)
+
+    def outcome(route, cx):
+        try:
+            return route(cx)
+        except rl.RidgelineError as exc:
+            return type(exc), str(exc)
+
+    checked = 0
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for base in rl.enumerate_pure_complexes(n, d, 4):
+                for amb in (base.ambient, tuple(range(1, n + 1))):
+                    cx = rl.SimplicialComplex(amb, base.facets)
+                    if outcome(rl.is_cohen_macaulay, cx) is None:  # the ideal was tested
+                        assert seen.pop() == old_route(cx), cx
+                        checked += 1
+                    else:
+                        assert outcome(rl.is_cohen_macaulay, cx) == outcome(old_route, cx), cx
+    assert checked > 20000 and not seen
+    empty = rl.SimplicialComplex((1, 2), ())
+    assert outcome(rl.is_cohen_macaulay, empty) == outcome(old_route, empty)
+    assert outcome(rl.is_cohen_macaulay, empty)[0] is rl.EmptyInput
+
+
 def test_froberg_check_examples():
     assert rl.froberg_check(rl.cycle_graph(4))["agree"]
     assert rl.froberg_check(rl.cycle_graph(5))["agree"]
