@@ -231,11 +231,20 @@ def test_cli_generate_makes_its_directory_only_for_good_parameters(tmp_path, cap
     assert out.is_dir() and not list(out.iterdir())
 
 
-def _verdicts(theorem, facets, path):
+def _readings(tabulation):
+    """A betti2 tabulation without its documents, whose labels may differ."""
+    if tabulation is None:
+        return None
+    return {tag: {**stat, "first_mismatch": stat["first_mismatch"]
+                  and {**stat["first_mismatch"], "document": None}}
+            for tag, stat in tabulation["interpretations"].items()}
+
+
+def _verdicts(theorem, facets, path, field="gf2"):
     path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
-    rep = verify(theorem, ("files", (str(path),)), stable_time=True)
+    rep = verify(theorem, ("files", (str(path),)), field=field, stable_time=True)
     return (rep.confirmations, [c["diagnostic"] for c in rep.counterexamples],
-            [s["reason"] for s in rep.skips])
+            [s["reason"] for s in rep.skips], _readings(rep.tabulation))
 
 
 @given(st.integers(4, 9), st.integers(2, 4), st.integers(1, 14), st.integers(0, 10 ** 6),
@@ -255,9 +264,24 @@ def test_property_line_graph_verdicts_invariant_under_relabelling(n, d, r, seed,
         # a deltac diagnostic names a facet pair by facet order, and a
         # shelling order may differ, so only the counts must agree
         for theorem in ("deltac", "shellable-connected"):
-            conf_a, diags_a, skips_a = _verdicts(theorem, facets, Path(tmp) / "a.txt")
-            conf_b, diags_b, skips_b = _verdicts(theorem, moved, Path(tmp) / "b.txt")
+            conf_a, diags_a, skips_a, _ = _verdicts(theorem, facets, Path(tmp) / "a.txt")
+            conf_b, diags_b, skips_b, _ = _verdicts(theorem, moved, Path(tmp) / "b.txt")
             assert (conf_a, len(diags_a), len(skips_a)) == (conf_b, len(diags_b), len(skips_b)), theorem
+
+
+@given(st.integers(4, 8), st.integers(2, 4), st.integers(1, 12), st.integers(0, 10 ** 6),
+       st.randoms(use_true_random=False), st.sampled_from(["gf2", "rational"]))
+@settings(max_examples=30, deadline=None)
+def test_property_betti2_verdicts_invariant_under_relabelling(n, d, r, seed, rnd, field):
+    facets = rl.random_pure_complex(n, d, min(r, comb(n, d)), seed).facets
+    labels = rnd.sample(range(1, 3 * n), n)
+    moved = [rnd.sample([labels[v - 1] for v in f], d) for f in facets]
+    rnd.shuffle(moved)
+    with tempfile.TemporaryDirectory() as tmp:
+        for theorem in ("betti2", "ev-d2"):
+            # the oracle, each prediction and its match, or the skip reason
+            assert (_verdicts(theorem, facets, Path(tmp) / "a.txt", field)
+                    == _verdicts(theorem, moved, Path(tmp) / "b.txt", field)), theorem
 
 
 def test_cli_generate_round_trip(tmp_path, capsys):
