@@ -99,6 +99,7 @@ def _bits(mask: int) -> tuple:
 
 def is_connected(g: Graph) -> bool:
     """Connectivity; the empty graph and one-vertex graph count as connected."""
+    _check_graph(g)
     if g.order <= 1:
         return True
     seen = 1
@@ -116,6 +117,7 @@ def is_connected(g: Graph) -> bool:
 
 def diameter(g: Graph):
     """Largest pairwise distance; inf when disconnected, 0 when order <= 1."""
+    _check_graph(g)
     if g.order <= 1:
         return 0
     if not is_connected(g):
@@ -140,6 +142,7 @@ def diameter(g: Graph):
 
 
 def complement(g: Graph) -> Graph:
+    _check_graph(g)
     full = (1 << g.order) - 1
     adj = tuple((full ^ g.adj[i]) & ~(1 << i) for i in range(g.order))
     return Graph.from_adj(adj)
@@ -184,6 +187,7 @@ def _is_clique(g: Graph, mask: int) -> bool:
 
 def triangles(g: Graph) -> tuple:
     """All 3-cliques as sorted vertex triples."""
+    _check_graph(g)
     out = []
     for a in range(1, g.order + 1):
         above_a = g.adj[a - 1] >> a << a
@@ -356,6 +360,7 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
 def line_graph_of_graph(g: Graph) -> Graph:
     """Graph on the edges of g, in sorted edge order, joined when they share
     an endpoint."""
+    _check_graph(g)
     es = g.edges()
     k = len(es)
     out = []

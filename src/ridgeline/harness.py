@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from json.encoder import encode_basestring_ascii as _escape
-from math import comb
+from math import comb, inf
 
 from .algebra import (
     FieldChoice,
@@ -73,15 +73,15 @@ from .linegraph import (
     NtInterpretation,
     TriangleType,
     _complete_shape,
+    _edge_total,
     _is_complete,
     _nt_count,
     _ridge_adjacency,
-    characterize_complete,
-    classify_triangles,
+    _ridge_counts,
+    _triangle_census,
     edge_count_formula,
     make_cycle_complex,
     predicted_beta2,
-    ridge_counts,
 )
 
 
@@ -436,11 +436,11 @@ _INTERPS = (
 
 def _check_betti2(cx, field, budget):
     """Oracle against the three readings of predicted_beta2, which share one
-    edge count and one triangle census."""
-    d = facet_size(cx)
+    ridge adjacency, and so one edge count and one triangle census."""
+    d, masks, rows = _ridge_adjacency(cx)
     oracle = beta_in_degree(facet_ideal(cx), 2, d + 1, field)
-    edges = edge_count_formula(cx)
-    classified = classify_triangles(cx)
+    edges = _edge_total(d, masks, rows)
+    classified = _triangle_census(d, masks, rows)
     predictions = {}
     for interp in _INTERPS:
         predictions[interp.value] = edges - _nt_count(classified, interp, budget)
@@ -820,20 +820,23 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     if not is_pure(cx) or cx.is_empty:
         report["note"] = "line-graph analysis needs a nonempty pure complex"
         return report
-    d = facet_size(cx)
+    # one ridge adjacency serves the line graph, both edge counts, the
+    # triangle census and the complete shape
+    d, masks, rows = _ridge_adjacency(cx)
     report["facet_size"] = d
-    g = _ridge_graph(cx)
+    g = Graph.from_adj(rows)
+    dia = diameter(g)  # inf exactly when disconnected
     report["line_graph"] = {
         "vertex_count": g.order,
         "edges": [list(e) for e in g.edges()],
         "edge_count": g.edge_count(),
-        "edge_count_formula": edge_count_formula(cx),
-        "ridge_counts": list(ridge_counts(cx)),
-        "connected": is_connected(g),
-        "diameter": (None if not is_connected(g) else diameter(g)),
+        "edge_count_formula": _edge_total(d, masks, rows),
+        "ridge_counts": list(_ridge_counts(rows)),
+        "connected": dia != inf,
+        "diameter": None if dia == inf else dia,
         "chordal": is_chordal_graph(g) is not None,
     }
-    classified = classify_triangles(cx)
+    classified = _triangle_census(d, masks, rows)
     report["triangles"] = [
         {"vertices": list(t), "type": kind.value} for t, kind in classified
     ]
@@ -854,7 +857,7 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
             tag: None if count is None else edges - count for tag, count in nt.items()
         },
     }
-    report["shape_if_complete"] = characterize_complete(cx)
+    report["shape_if_complete"] = _complete_shape(d, masks, rows)
     try:
         report["complex_chordal"] = is_chordal_complex(cx, budget)
     except BudgetExceeded as exc:

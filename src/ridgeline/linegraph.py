@@ -14,6 +14,16 @@ when popcount(m_i & m_j) == d - 1. The line graph is built from those rows,
 popcount(m_i & m_j & m_k). The realizability search builds its candidate
 facets as such masks over the vertices 1..n it has used, and checks each by
 the same popcount rule against the facets chosen before it.
+
+One pass per complex: ``_ridge_adjacency`` runs once, and every reading is
+taken from its output ``(d, masks, rows)`` by a helper on those rows:
+``_edge_total`` (the edge count, counted pair by pair on the masks and
+checked against the rows' degree sum), ``_ridge_counts``, ``_triangle_census``
+(the classified triangles, from which ``_nt_count`` takes each reading of Nt)
+and ``_complete_shape``. The public functions are thin wrappers that check
+their input and make that one pass; a caller that needs several readings of
+one complex, as the betti2, ev-d2 and complete statements and ``analyze`` do,
+calls ``_ridge_adjacency`` itself and passes its output to each helper.
 """
 
 from __future__ import annotations
@@ -113,35 +123,48 @@ def line_graph(cx: SimplicialComplex) -> LabeledLineGraph:
     return LabeledLineGraph(Graph.from_adj(_ridge_adjacency(cx)[2]), cx.facets)
 
 
-def ridge_counts(cx: SimplicialComplex) -> tuple:
-    """s_i = number of later facets meeting facet i in all but one vertex.
-
-    Counted pair by pair on the facet masks, apart from the adjacency rows,
-    so that ``edge_count_formula`` compares two routes.
-    """
+def _pure_adjacency(cx: SimplicialComplex) -> tuple:
+    """``_ridge_adjacency`` behind the line-graph entry checks: a complex,
+    nonempty and pure, each refused with the line graph's own message."""
     _check_complex(cx)
-    d = _require_pure(cx)
-    masks = _masks_of(cx.facets, cx.support)
-    return tuple(
-        sum(1 for mj in masks[i + 1:] if (mi & mj).bit_count() == d - 1)
-        for i, mi in enumerate(masks)
-    )
+    _require_pure(cx)
+    return _ridge_adjacency(cx)
+
+
+def ridge_counts(cx: SimplicialComplex) -> tuple:
+    """s_i = number of later facets meeting facet i in all but one vertex."""
+    return _ridge_counts(_pure_adjacency(cx)[2])
+
+
+def _ridge_counts(rows: tuple) -> tuple:
+    """``ridge_counts`` on the rows of ``_ridge_adjacency``: the bits of row
+    i above bit i."""
+    return tuple((row >> i + 1).bit_count() for i, row in enumerate(rows))
 
 
 def edge_count_formula(cx: SimplicialComplex) -> int:
-    """Edge count of the line graph as the sum of the ridge counts.
+    """Edge count of the line graph as the sum of the ridge counts,
+    cross-checked against the degree sum of the adjacency rows."""
+    return _edge_total(*_pure_adjacency(cx))
 
-    Cross-checked against the constructed graph (and its degree sum) whenever
-    the line graph itself is defined.
+
+def _edge_total(d: int, masks: list, rows: tuple) -> int:
+    """``edge_count_formula`` on the output of ``_ridge_adjacency``.
+
+    The ridge pairs are counted pair by pair on the masks, apart from the
+    rows, and the rows' degree sum must be twice that count.
     """
-    _check_complex(cx)
-    total = sum(ridge_counts(cx))
-    if facet_size(cx) >= 2:
-        g = line_graph(cx).graph
-        if g.edge_count() != total:
-            raise RidgelineError("ridge-count formula disagrees with the line graph")
-        if sum(g.degree(v) for v in range(1, g.order + 1)) != 2 * total:
-            raise RidgelineError("degree sum disagrees with twice the ridge counts")
+    ridge = d - 1
+    total = 0
+    for i, mi in enumerate(masks):
+        for mj in masks[i + 1:]:
+            if (mi & mj).bit_count() == ridge:
+                total += 1
+    degrees = sum(row.bit_count() for row in rows)
+    if degrees // 2 != total:
+        raise RidgelineError("ridge-count formula disagrees with the line graph")
+    if degrees != 2 * total:
+        raise RidgelineError("degree sum disagrees with twice the ridge counts")
     return total
 
 
@@ -152,9 +175,11 @@ def classify_triangles(cx: SimplicialComplex) -> tuple:
     ``graphs.triangles``. Facet size 1, where the line graph constructor
     refuses to run, still classifies.
     """
-    _check_complex(cx)
-    _require_pure(cx)
-    d, masks, rows = _ridge_adjacency(cx)
+    return _triangle_census(*_pure_adjacency(cx))
+
+
+def _triangle_census(d: int, masks: list, rows: tuple) -> tuple:
+    """``classify_triangles`` on the output of ``_ridge_adjacency``."""
     out = []
     for i, j, k in triangles(Graph.from_adj(rows)):
         common = (masks[i - 1] & masks[j - 1] & masks[k - 1]).bit_count()
@@ -178,17 +203,23 @@ def count_Nt(cx: SimplicialComplex, interp: NtInterpretation,
     vertex with any other triangle of the line graph. The budget is checked
     under every reading, though only MaxDisjoint spends it.
     """
+    interp = _nt_reading(cx, interp, budget)
+    return _nt_count(classify_triangles(cx), interp, budget)
+
+
+def _nt_reading(cx: SimplicialComplex, interp, budget) -> NtInterpretation:
+    """The arguments of ``count_Nt`` checked, and its reading parsed."""
     _check_complex(cx)
     try:
         interp = NtInterpretation(interp)
     except ValueError:
         raise BadParameters(f"unknown Nt interpretation {interp!r}") from None
     search_budget(budget)
-    return _nt_count(classify_triangles(cx), interp, budget)
+    return interp
 
 
 def _nt_count(classified: tuple, interp: NtInterpretation, budget: int | None) -> int:
-    """``count_Nt`` on a census from ``classify_triangles``; the search of
+    """``count_Nt`` on a census from ``_triangle_census``; the search of
     MaxDisjoint gets a fresh budget on every call."""
     simplex = [t for t, kind in classified if kind is TriangleType.SimplexType]
     if interp is NtInterpretation.AllSimplexType:
@@ -218,8 +249,10 @@ def _max_disjoint(masks: list, idx: int, used: int, size: int, best: int, spend)
 def predicted_beta2(cx: SimplicialComplex, interp: NtInterpretation,
                     budget: int | None = None) -> int:
     """Edge count of the line graph minus the chosen correction term."""
-    nt = count_Nt(cx, interp, budget)  # checks every argument first
-    return edge_count_formula(cx) - nt
+    interp = _nt_reading(cx, interp, budget)
+    adjacency = _pure_adjacency(cx)
+    nt = _nt_count(_triangle_census(*adjacency), interp, budget)
+    return _edge_total(*adjacency) - nt
 
 
 CONE = "Cone"
@@ -236,9 +269,7 @@ def characterize_complete(cx: SimplicialComplex) -> str:
     vertices, one of the two shapes must apply; a Neither answer there is an
     internal contradiction and raises.
     """
-    _check_complex(cx)
-    _require_pure(cx)
-    return _complete_shape(*_ridge_adjacency(cx))
+    return _complete_shape(*_pure_adjacency(cx))
 
 
 def _complete_shape(d: int, masks: tuple, rows: tuple) -> str:

@@ -294,16 +294,17 @@ def test_shelling_search_matches_set_oracle_step_for_step():
 
 
 # a valid value for each required parameter after the first
-_LATER_ARGS = {"interp": "all", "v": 1, "i": 2, "j": 3, "b": rl.from_facets([[9]])}
+_LATER_ARGS = {"interp": "all", "v": 1, "i": 2, "j": 3, "b": rl.from_facets([[9]]),
+               "leaves": 2, "max_per_vertex": 2, "d": 2, "max_vertices": 4}
 # the type each walked first parameter must hold
 _FIRST_PARAMS = {"cx": "SimplicialComplex", "a": "SimplicialComplex",
-                 "ideal": "MonomialIdeal", "cl": "Clutter"}
+                 "ideal": "MonomialIdeal", "cl": "Clutter", "g": "Graph"}
 
 
 def test_every_public_complex_function_refuses_a_non_complex():
     """Each public function whose first parameter is a complex (``cx``, or
-    ``a`` of ``join``), an ideal or a clutter raises the typed BadParameters
-    for a string, never an AttributeError from inside."""
+    ``a`` of ``join``), an ideal, a clutter or a graph raises the typed
+    BadParameters for a string, never an AttributeError from inside."""
     walked = []
     for name in sorted(dir(rl)):
         func = getattr(rl, name)
@@ -331,6 +332,9 @@ def test_every_public_complex_function_refuses_a_non_complex():
         "join", "independence_complex",
         "betti_table", "beta", "beta_in_degree", "regularity",
         "has_linear_quotients", "has_linear_resolution",
+        "complement", "diameter", "is_connected", "line_graph_of_graph", "triangles",
+        "is_chordal_graph", "has_induced_star", "clique_edge_partition", "edge_ideal",
+        "froberg_check", "realizability_search",
     } <= set(walked)
 
 

@@ -334,9 +334,11 @@ def test_line_graph_layer_matches_oracles_sparse(cx):
     _assert_line_graph_layer_matches_oracles(cx)
 
 
-def test_check_complete_builds_one_ridge_adjacency(monkeypatch):
+def _count_adjacencies(monkeypatch) -> list:
+    """Record each complex that ``_ridge_adjacency`` runs on, whether the
+    harness or the line-graph layer calls it."""
     calls = []
-    adjacency = harness._ridge_adjacency
+    adjacency = linegraph._ridge_adjacency
 
     def counted(cx):
         calls.append(cx)
@@ -344,11 +346,37 @@ def test_check_complete_builds_one_ridge_adjacency(monkeypatch):
 
     monkeypatch.setattr(harness, "_ridge_adjacency", counted)
     monkeypatch.setattr(linegraph, "_ridge_adjacency", counted)
+    return calls
+
+
+def test_check_complete_builds_one_ridge_adjacency(monkeypatch):
+    calls = _count_adjacencies(monkeypatch)
     for cx in (rl.make_cone(5, 3), rl.make_simplex_subsets(3, 4), rl.from_facets(BD3[:3]),
                rl.from_facets([[1, 2, 3], [3, 4, 5], [1, 4, 6], [2, 5, 6]]),
                rl.random_pure_complex(10, 3, 30, 1)):
         calls.clear()
         assert _check_complete(cx, None, None)[0] == "confirmed"
+        assert calls == [cx]
+
+
+@pytest.mark.parametrize("run", ["betti2", "ev-d2", "analyze"])
+def test_betti2_ev_d2_and_analyze_build_one_ridge_adjacency(monkeypatch, run):
+    """Edge count, ridge counts, triangle census, Nt readings and the
+    complete shape all come from one adjacency per complex; ev-d2 refuses
+    facet sizes other than 2 before it builds any."""
+    calls = _count_adjacencies(monkeypatch)
+    for cx in (rl.make_cone(5, 2), rl.from_facets([[1, 2], [2, 3], [1, 3], [3, 4]]),
+               rl.random_pure_complex(8, 2, 9, 2), rl.from_facets(BD3),
+               rl.random_pure_complex(8, 3, 12, 1), rl.random_pure_complex(7, 4, 6, 3)):
+        calls.clear()
+        if run == "analyze":
+            assert rl.analyze(cx, "gf2", None, 3)["line_graph"]["vertex_count"] == cx.facet_count
+        else:
+            status = harness.THEOREMS[run](cx, "gf2", None)[0]
+            if status == "skip":
+                assert run == "ev-d2" and rl.facet_size(cx) != 2
+                assert calls == []
+                continue
         assert calls == [cx]
 
 
