@@ -25,7 +25,7 @@ from .harness import (
     serialize_complex,
     verify,
 )
-from .linegraph import line_graph, ridge_counts
+from .linegraph import _ridge_counts, line_graph
 
 
 def _read_document(path: str):
@@ -114,7 +114,7 @@ def _cmd_linegraph(args) -> int:
         "facet_of": {str(k + 1): list(f) for k, f in enumerate(lg.facet_of)},
         "edges": [list(e) for e in lg.graph.edges()],
         "edge_count": lg.graph.edge_count(),
-        "ridge_counts": list(ridge_counts(cx)),
+        "ridge_counts": list(_ridge_counts(lg.graph.adj)),
     }
     text = _report_text(doc)
     if args.out:
