@@ -284,6 +284,23 @@ def test_property_betti2_verdicts_invariant_under_relabelling(n, d, r, seed, rnd
                     == _verdicts(theorem, moved, Path(tmp) / "b.txt", field)), theorem
 
 
+@given(st.integers(4, 7), st.integers(2, 3), st.one_of(st.just(3), st.integers(1, 9)),
+       st.integers(0, 10 ** 6), st.randoms(use_true_random=False),
+       st.sampled_from(["gf2", "rational"]))
+@settings(max_examples=30, deadline=None)
+def test_property_c3_froberg_corollary_chain_invariant_under_relabelling(n, d, r, seed, rnd,
+                                                                          field):
+    facets = rl.random_pure_complex(n, d, min(r, comb(n, d)), seed).facets
+    labels = rnd.sample(range(1, 3 * n), n)
+    moved = [rnd.sample([labels[v - 1] for v in f], d) for f in facets]
+    rnd.shuffle(moved)
+    with tempfile.TemporaryDirectory() as tmp:
+        for theorem in ("c3", "froberg", "corollary-chain"):
+            # the shape, both Froberg sides, every chain check, or the skip reason
+            assert (_verdicts(theorem, facets, Path(tmp) / "a.txt", field)
+                    == _verdicts(theorem, moved, Path(tmp) / "b.txt", field)), theorem
+
+
 def test_cli_generate_round_trip(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert main(["generate", "--n", "6", "--d", "3", "--r", "4",
