@@ -78,6 +78,7 @@ from .linegraph import (
     _nt_count,
     _ridge_adjacency,
     _ridge_counts,
+    _ridge_rows,
     _triangle_census,
     edge_count_formula,
     make_cycle_complex,
@@ -372,16 +373,13 @@ def _chordal_hypotheses(cx: SimplicialComplex):
 
 
 def _check_deltac(cx, field, budget):
-    try:
-        comp = complement_complex(cx)
-    except DegenerateComplement:
+    d, masks, rows = _ridge_adjacency(cx)
+    full = (1 << len(cx.ambient)) - 1
+    if full in masks:
         return SKIP, "a facet equals the ambient set; complement degenerate"
-    # each side gets its own adjacency, from its own facet masks
-    rows = _ridge_adjacency(cx)[2]
-    crows = _ridge_adjacency(comp)[2]
-    index_of = {f: k for k, f in enumerate(comp.facets)}
-    mapped = [index_of[tuple(v for v in cx.ambient if v not in f)] for f in cx.facets]
-    mismatch = _first_row_mismatch(rows, crows, mapped)
+    # complement facet i is full ^ masks[i], so both sides share one facet order
+    crows = _ridge_rows([full ^ m for m in masks], len(cx.ambient) - d - 1)
+    mismatch = _first_row_mismatch(rows, crows)
     if mismatch is None:
         return CONFIRMED, None
     i, j, left, right = mismatch
@@ -392,30 +390,15 @@ def _check_deltac(cx, field, budget):
     }
 
 
-def _first_row_mismatch(rows: list, crows: list, mapped: list):
+def _first_row_mismatch(rows: tuple, crows: tuple):
     """First pair i < j, in lexicographic order, where bit j of ``rows[i]``
-    differs from bit ``mapped[j]`` of ``crows[mapped[i]]``, as
-    ``(i, j, left, right)`` with the two bits as booleans; None when
-    ``mapped`` carries one graph onto the other.
-
-    Each complement row is pulled back onto the indices of ``rows`` through
-    the inverse of ``mapped``, and its XOR with ``rows[i]`` above bit i holds
-    every mismatch of row i.
-    """
-    back = [0] * len(mapped)
-    for i, k in enumerate(mapped):
-        back[k] = i
-    for i, row in enumerate(rows):
-        crow = crows[mapped[i]]
-        pulled = 0
-        while crow:
-            low = crow & -crow
-            pulled |= 1 << back[low.bit_length() - 1]
-            crow ^= low
-        diff = (row ^ pulled) >> i + 1
+    differs from bit j of ``crows[i]``, as ``(i, j, left, right)`` with the
+    two bits as booleans; None when the rows agree."""
+    for i, (row, crow) in enumerate(zip(rows, crows)):
+        diff = (row ^ crow) >> i + 1
         if diff:
             j = i + (diff & -diff).bit_length()
-            return i, j, bool(row >> j & 1), bool(pulled >> j & 1)
+            return i, j, bool(row >> j & 1), bool(crow >> j & 1)
     return None
 
 

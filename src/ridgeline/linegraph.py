@@ -7,11 +7,13 @@ facet (numbered 1..r in canonical facet order) and an edge exactly when two
 facets meet in d-1 vertices.
 
 Everything here works on one bitmask form. Facet i is the mask m_i whose bit
-p stands for the p-th smallest support vertex (the rule of
-``complexes._masks_of``), and ``_ridge_adjacency`` sets bit j of row i exactly
-when popcount(m_i & m_j) == d - 1. The line graph is built from those rows,
-``graphs.triangles`` reads the triangles off them, and the triple intersection of a triangle is
-popcount(m_i & m_j & m_k). The realizability search builds its candidate
+p stands for the p-th ambient vertex (the rule of ``complexes._masks_of``),
+and ``_ridge_adjacency`` sets bit j of row i exactly when popcount(m_i & m_j)
+== d - 1. The line graph is built from those rows, ``graphs.triangles`` reads
+the triangles off them, and the triple intersection of a triangle is
+popcount(m_i & m_j & m_k). The complement of facet i in the ambient is m_i
+XOR the full ambient mask, in the same facet order, so the deltac statement
+reads the complement's rows off the same masks through ``_ridge_rows``. The realizability search builds its candidate
 facets as such masks over the vertices 1..n it has used, and checks each by
 the same popcount rule against the facets chosen before it.
 
@@ -89,24 +91,29 @@ def _require_pure(cx: SimplicialComplex) -> int:
 def _ridge_adjacency(cx: SimplicialComplex) -> tuple:
     """(d, masks, rows) of a pure complex, any facet size d >= 1.
 
-    masks[i] is facet i as a bitmask over the support positions (bit p for
-    the p-th smallest support vertex); bit j of rows[i] is set exactly when
-    popcount(masks[i] & masks[j]) == d - 1, for i != j. At d = 1 every two
+    masks[i] is facet i as a bitmask over the ambient (bit p for the p-th
+    ambient vertex), so the complement of facet i is its XOR with the full
+    ambient mask; rows are ``_ridge_rows(masks, d - 1)``. At d = 1 every two
     facets are adjacent. Raises like ``facet_size`` on empty or non-pure
     input.
     """
     d = facet_size(cx)
-    masks = _masks_of(cx.facets, cx.support)
+    masks = _masks_of(cx.facets, cx.ambient)
+    return d, masks, _ridge_rows(masks, d - 1)
+
+
+def _ridge_rows(masks: list, ridge: int) -> tuple:
+    """Bit j of row i is set exactly when popcount(masks[i] & masks[j]) ==
+    ridge, for i != j."""
     r = len(masks)
     rows = [0] * r
-    ridge = d - 1
     for i in range(r):
         mi = masks[i]
         for j in range(i + 1, r):
             if (mi & masks[j]).bit_count() == ridge:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return d, masks, tuple(rows)
+    return tuple(rows)
 
 
 def _is_complete(rows: tuple) -> bool:

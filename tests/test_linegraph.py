@@ -18,6 +18,7 @@ from oracles import (
     oracle_ridge_edges,
 )
 from ridgeline import harness, linegraph
+from ridgeline.complexes import _masks_of
 from ridgeline.harness import (
     _INTERPS,
     _check_betti2,
@@ -382,36 +383,32 @@ def test_betti2_ev_d2_and_analyze_build_one_ridge_adjacency(monkeypatch, run):
 
 def test_deltac_reports_first_disagreeing_pair(monkeypatch):
     """The two sides of deltac always agree on real input, so flip pairs of
-    the complement's adjacency and compare the reported pair with the first
-    disagreement of the set-based adjacencies under the same flips."""
+    the complement's rows and compare the reported pair with the first
+    disagreement of the set-based adjacencies under the same flips, the
+    complements taken in the complex's facet order."""
     cx = rl.from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5], [1, 2, 6]])
-    comp = rl.complement_complex(cx)
-    mapped = [comp.facets.index(tuple(v for v in cx.ambient if v not in f)) for f in cx.facets]
     left = set(oracle_ridge_edges(cx.facets))
-    right = set(oracle_ridge_edges(comp.facets))
-    adjacency = harness._ridge_adjacency
+    right = set(oracle_ridge_edges([[v for v in cx.ambient if v not in f] for f in cx.facets]))
+    ridge_rows = harness._ridge_rows
     for flips in ([(2, 4)], [(4, 5), (1, 3)], [(1, 2), (2, 3)], [(3, 5), (1, 5)]):
         flipped = right ^ set(flips)
 
-        def fake(c, flips=flips):
-            d, masks, rows = adjacency(c)
-            if c != comp:
-                return d, masks, rows
-            rows = list(rows)
+        def fake(masks, ridge, flips=flips):
+            rows = list(ridge_rows(masks, ridge))
             for a, b in flips:
                 rows[a - 1] ^= 1 << b - 1
                 rows[b - 1] ^= 1 << a - 1
-            return d, masks, tuple(rows)
+            return tuple(rows)
 
-        monkeypatch.setattr(harness, "_ridge_adjacency", fake)
+        # the harness calls _ridge_rows only for the complement side
+        monkeypatch.setattr(harness, "_ridge_rows", fake)
         expected = None
         for i, j in [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]:
-            image = tuple(sorted((mapped[i - 1] + 1, mapped[j - 1] + 1)))
-            if ((i, j) in left) != (image in flipped):
+            if ((i, j) in left) != ((i, j) in flipped):
                 expected = ("counterexample", {
                     "facet_pair": [i, j],
                     "adjacent_in_line_graph": (i, j) in left,
-                    "adjacent_in_complement_line_graph": image in flipped,
+                    "adjacent_in_complement_line_graph": (i, j) in flipped,
                 })
                 break
         assert expected is not None
@@ -419,36 +416,57 @@ def test_deltac_reports_first_disagreeing_pair(monkeypatch):
 
 
 def test_first_row_mismatch_matches_pair_loop():
-    """Random facet permutations of ridge graphs, unchanged and then with one
-    adjacency bit pair flipped on either side: the row comparison and the
-    pair loop report the same first pair and the same two flags."""
+    """Ridge graphs, unchanged and then with one adjacency bit pair flipped
+    on either side: the row comparison and the pair loop report the same
+    first pair and the same two flags."""
     import random
 
     rng = random.Random(12)
     flagged = set()
     for n, d, r in ((7, 3, 10), (9, 3, 25), (8, 2, 14), (10, 4, 30), (6, 3, 2)):
+        identity = list(range(r))
         for seed in range(6):
             rows = list(_ridge_adjacency(rl.random_pure_complex(n, d, r, seed))[2])
-            mapped = rng.sample(range(r), r)
-            crows = [0] * r
-            for i, row in enumerate(rows):
-                for j in range(r):
-                    if row >> j & 1:
-                        crows[mapped[i]] |= 1 << mapped[j]
-            assert _first_row_mismatch(rows, crows, mapped) is None
-            assert oracle_first_row_mismatch(rows, crows, mapped) is None
+            crows = list(rows)
+            assert _first_row_mismatch(rows, crows) is None
+            assert oracle_first_row_mismatch(rows, crows, identity) is None
             for _ in range(8):
                 a, b = rng.sample(range(r), 2)
                 side = rng.choice((rows, crows))
                 side[a] ^= 1 << b
                 side[b] ^= 1 << a
-                got = _first_row_mismatch(rows, crows, mapped)
+                got = _first_row_mismatch(rows, crows)
                 assert got is not None
-                assert got == oracle_first_row_mismatch(rows, crows, mapped)
+                assert got == oracle_first_row_mismatch(rows, crows, identity)
                 flagged.add(got[2:])
                 side[a] ^= 1 << b
                 side[b] ^= 1 << a
     assert flagged == {(True, False), (False, True)}
+
+
+def _assert_complement_masks(cx):
+    """The complement facets deltac reads off the ridge-adjacency masks are
+    those of ``complement_complex``, which refuses exactly when one mask is
+    the full ambient."""
+    full = (1 << len(cx.ambient)) - 1
+    masks = _ridge_adjacency(cx)[1]
+    if full in masks:
+        with pytest.raises(rl.DegenerateComplement):
+            rl.complement_complex(cx)
+        return
+    assert {full ^ m for m in masks} == set(_masks_of(rl.complement_complex(cx).facets, cx.ambient))
+
+
+def test_complement_masks_match_complement_complex_exhaustive():
+    for d in (1, 2, 3):
+        for cx in rl.enumerate_pure_complexes(5, d, 5):
+            _assert_complement_masks(cx)
+
+
+@given(sparse_pure_complexes())
+@settings(max_examples=150, deadline=None)
+def test_complement_masks_match_complement_complex_sparse(cx):
+    _assert_complement_masks(cx)
 
 
 def _betti2_by_three_predictions(cx, field, budget):
