@@ -45,15 +45,19 @@ MAX_BITS = 20  # 2**20 face indicators is the most a builder will allocate
 
 
 def as_face(vertices: Iterable[int]) -> Face:
-    """Normalize an iterable of vertices into a sorted face tuple."""
+    """Normalize an iterable of vertices into a sorted face tuple.
+
+    Every vertex is checked before duplicates are dropped, so a bool or a
+    float equal to a good vertex, as in [1, True] or [1, 1.0], is refused.
+    """
     try:
-        face = tuple(sorted(set(vertices)))
-    except TypeError:  # unhashable vertices, or ones that do not compare
+        face = list(vertices)
+    except TypeError:  # not iterable
         raise BadParameters(f"vertices {vertices!r} are not all positive integers") from None
     for v in face:
         if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            raise BadParameters(f"vertex {v!r} is not a positive integer")
-    return face
+            raise BadParameters(f"vertices {face!r} are not all positive integers")
+    return tuple(sorted(set(face)))
 
 
 def _maximal(faces: Iterable[Face]) -> tuple:

@@ -131,6 +131,8 @@ def parse_document(data) -> tuple:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except (RecursionError, ValueError) as exc:  # nested too deep, or an int too long
+            raise ParseError(f"bad JSON: {exc}") from None
         name = doc.get("name") if isinstance(doc, dict) else None
         if name is not None and not isinstance(name, str):
             raise ParseError('"name" must be a string')
@@ -168,20 +170,27 @@ def serialize_complex(cx: SimplicialComplex, name: str | None = None) -> bytes:
 # corpus generation
 
 
+DRAW_TABLE_CAP = 1 << 20  # most cells, (d + 1) * n, of a random draw's binomial table
+
+
 def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     """r distinct d-subsets of {1..n}, uniform without replacement.
 
     Deterministic per seed; the ambient is the full vertex set {1..n}.
+    Refuses, before any binomial is computed, a draw whose binomial table
+    would hold more than ``DRAW_TABLE_CAP`` cells.
     """
     for what, value in (("n", n), ("d", d), ("r", r), ("seed", seed)):
         _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+    if (d + 1) * n > DRAW_TABLE_CAP:
+        raise BadParameters(f"need (d + 1) * n <= {DRAW_TABLE_CAP} for a random draw")
     top = comb(n, d)
+    if top > sys.maxsize:
+        raise BadParameters(f"C({n},{d}) d-subsets are too many to index")
     if not 1 <= r <= top:
         raise BadParameters(f"need 1 <= r <= C({n},{d}) = {top}, got r={r}")
-    if top > sys.maxsize:
-        raise BadParameters(f"C({n},{d}) = {top} d-subsets are too many to index")
     rng = random.Random(seed)
     table = _binomials(n, d)
     # sampling indices draws exactly what sampling the list of all d-subsets
@@ -192,6 +201,18 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     ranks.sort()
     facets = tuple([_unrank_subset(k, n, d, table) for k in ranks])
     return SimplicialComplex(tuple(range(1, n + 1)), facets)
+
+
+def _binomial_capped(n: int, k: int, cap: int) -> int:
+    """min(C(n, k), cap + 1), in at most min(k, n - k) steps: the product
+    C(n, j + 1) = C(n, j) * (n - j) / (j + 1) grows at each of them, so it
+    stops at the first value past the cap."""
+    value = 1
+    for j in range(min(k, n - k)):
+        value = value * (n - j) // (j + 1)
+        if value > cap:
+            return cap + 1
+    return value
 
 
 def _binomials(n: int, d: int) -> list:
@@ -226,7 +247,8 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
 
     Canonical order: facet count ascending, then lexicographic on the sorted
     facet tuples. The ambient of each complex is its own support. The total
-    count must fit the search budget up front.
+    count must fit the search budget up front; it is summed term by term,
+    and the summing stops as soon as the budget is passed.
     """
     for what, value in (("n", n), ("d", d), ("r_max", r_max)):
         _check_int(value, what)
@@ -234,13 +256,18 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
     if r_max < 1:
         raise BadParameters("r_max must be at least 1")
-    top = comb(n, d)
     limit = search_budget(budget)
-    total = sum(comb(top, r) for r in range(1, min(r_max, top) + 1))
-    if total > limit:
-        raise BudgetExceeded(
-            f"{total} complexes exceed the budget of {limit}; raise it to enumerate"
-        )
+    # the one-facet families alone number C(n, d), so it too stops at the budget
+    top = _binomial_capped(n, d, limit)
+    total = 0
+    term = 1
+    for r in range(1, min(r_max, top) + 1):
+        term = term * (top - r + 1) // r  # C(top, r)
+        total += term
+        if total > limit:
+            raise BudgetExceeded(
+                f"more than {limit} complexes exceed the budget; raise it to enumerate"
+            )
     pool = list(combinations(range(1, n + 1), d))
     for r in range(1, min(r_max, top) + 1):
         for family in combinations(pool, r):

@@ -13,9 +13,10 @@ and ``_ridge_adjacency`` sets bit j of row i exactly when popcount(m_i & m_j)
 the triangles off them, and the triple intersection of a triangle is
 popcount(m_i & m_j & m_k). The complement of facet i in the ambient is m_i
 XOR the full ambient mask, in the same facet order, so the deltac statement
-reads the complement's rows off the same masks through ``_ridge_rows``. The realizability search builds its candidate
-facets as such masks over the vertices 1..n it has used, and checks each by
-the same popcount rule against the facets chosen before it.
+reads the complement's rows off the same masks through ``_ridge_rows``. The
+realizability search builds its candidate facets as such masks over the
+vertices 1..n it has used, and checks each by the same popcount rule
+against the facets chosen before it.
 
 One pass per complex: ``_ridge_adjacency`` runs once, and every reading is
 taken from its output ``(d, masks, rows)`` by a helper on those rows:

@@ -45,6 +45,14 @@ def test_parse_errors():
         rl.parse_complex("# nothing here\n")
 
 
+def test_parse_refuses_deep_nesting_and_long_ints():
+    deep = '{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}"
+    with pytest.raises(rl.ParseError, match="recursion"):
+        rl.parse_document(deep)
+    with pytest.raises(rl.ParseError, match="digits"):
+        rl.parse_document('{"facets": [[1' + "0" * 5000 + "]]}")
+
+
 def test_serialize_round_trip_preserves_ambient():
     cx = rl.from_facets([[1, 2]], ambient=[1, 2, 3, 4, 5])
     blob = rl.serialize_complex(cx)
@@ -165,6 +173,36 @@ def test_corpus_parameters_must_be_integers():
         rl.random_pure_complex(3, 0, 1, 1)
     with pytest.raises(rl.BadParameters, match="trial count must be nonnegative, got -1"):
         rl.verify("edge-count", ("random", 8, 3, 5, -1))
+
+
+@pytest.mark.parametrize("error, call", [
+    (rl.BadParameters, lambda: rl.random_pure_complex(20000, 10000, 1, 1)),
+    (rl.BadParameters, lambda: rl.random_pure_complex(10 ** 6, 5 * 10 ** 5, 1, 0)),
+    (rl.BadParameters, lambda: rl.random_pure_complex(10 ** 7, 1, 1, 0)),
+    (rl.BudgetExceeded, lambda: list(rl.enumerate_pure_complexes(30, 5, 4000))),
+    (rl.BudgetExceeded, lambda: list(rl.enumerate_pure_complexes(30, 5, 8000))),
+    (rl.BudgetExceeded, lambda: list(rl.enumerate_pure_complexes(10 ** 6, 5 * 10 ** 5, 2))),
+])
+def test_oversized_corpus_parameters_refuse_quickly(error, call):
+    """Each of these once spent seconds on a binomial, a binomial table or
+    a sum of binomials, or failed formatting one into its message."""
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(error):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_draw_table_cap_is_the_boundary(monkeypatch):
+    from ridgeline import harness
+
+    monkeypatch.setattr(harness, "DRAW_TABLE_CAP", 40)
+    assert rl.random_pure_complex(20, 1, 3, 0).facet_count == 3
+    assert rl.random_pure_complex(10, 3, 3, 0).facet_count == 3
+    for n, d in ((21, 1), (11, 3), (9, 4)):
+        with pytest.raises(rl.BadParameters, match=r"\(d \+ 1\) \* n <= 40"):
+            rl.random_pure_complex(n, d, 1, 0)
 
 
 def test_enumerate_budget():

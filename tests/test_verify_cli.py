@@ -231,6 +231,39 @@ def test_cli_generate_makes_its_directory_only_for_good_parameters(tmp_path, cap
     assert out.is_dir() and not list(out.iterdir())
 
 
+def test_cli_refuses_oversized_corpus_parameters(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--n", "20000", "--d", "10000", "--r", "1", "--count", "1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["verify", "--theorem", "edge-count", "--random", "20000,10000,1,1"]) == 2
+    assert "(d + 1) * n" in capsys.readouterr().err
+    for rmax in ("4000", "8000"):
+        assert main(["verify", "--theorem", "edge-count", "--exhaustive", f"30,5,{rmax}"]) == 3
+        assert "exceed the budget" in capsys.readouterr().err
+
+
+def test_cli_refuses_bool_vertices_and_deep_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}")
+    for facets in ("[[1, true]]", "[[true, 1]]", "[[1, 1.0]]", "[[1.0, 1]]"):
+        (tmp_path / "bad.json").write_text(f'{{"facets": {facets}}}')
+        assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+    assert main(["analyze", str(deep)]) == 2
+    assert "bad JSON" in capsys.readouterr().err
+    # under --files a document that does not parse is a skip beside the good one
+    good = tmp_path / "good.txt"
+    good.write_text("1 2\n2 3\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "edge-count", "--files", str(deep), str(good),
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["instances"] == 2 and rep["confirmations"] == 1
+    assert [s["document"] for s in rep["skips"]] == [{"name": str(deep)}]
+    assert rep["skips"][0]["reason"].startswith("unreadable document: bad JSON")
+    capsys.readouterr()
+
+
 def _readings(tabulation):
     """A betti2 tabulation without its documents, whose labels may differ."""
     if tabulation is None:
