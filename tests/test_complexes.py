@@ -52,9 +52,6 @@ def test_from_facets_errors():
         rl.from_facets([[]])
     with pytest.raises(rl.OutOfAmbient):
         rl.from_facets([[1, 4]], ambient=[1, 2, 3])
-
-
-def test_as_face_checks_every_vertex_before_dropping_duplicates():
     # a bool or a float equal to a good vertex is refused in either order
     for face in ([1, True], [True, 1], [1, 1.0], [1.0, 1]):
         with pytest.raises(rl.BadParameters, match="not all positive integers"):

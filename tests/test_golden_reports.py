@@ -279,12 +279,15 @@ def test_unreadable_files_become_skips(tmp_path, monkeypatch):
     (tmp_path / "empty.txt").write_text("# no facets\n")
     (tmp_path / "bad.json").write_text('{"facets": [[1, 2], [2, "x"]]}')
     (tmp_path / "good.txt").write_text("1 2\n2 3\n")
-    report = rl.verify("edge-count", ("files", ["empty.txt", "bad.json", "good.txt"]))
-    assert report.instances == 3 and report.confirmations == 1
-    assert [s["document"] for s in report.skips] == [{"name": "empty.txt"}, {"name": "bad.json"}]
+    (tmp_path / "deep.json").write_text('{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}")
+    report = rl.verify("edge-count", ("files", ["empty.txt", "bad.json", "good.txt", "deep.json"]))
+    assert report.instances == 4 and report.confirmations == 1
+    assert [s["document"] for s in report.skips] == [{"name": "empty.txt"}, {"name": "bad.json"},
+                                                     {"name": "deep.json"}]
     assert report.skips[0]["reason"] == "unreadable document: a complex needs at least one face"
     assert report.skips[1]["reason"] == ("unreadable document: "
                                          "vertices [2, 'x'] are not all positive integers")
+    assert report.skips[2]["reason"].startswith("unreadable document: bad JSON: maximum recursion")
     with pytest.raises(FileNotFoundError):
         rl.verify("edge-count", ("files", ["good.txt", "missing.txt"]))
 

@@ -194,6 +194,20 @@ def test_cli_usage_and_budget_errors(tmp_path, capsys):
     assert main(["verify", "--theorem", "nope", "--exhaustive", "4,2,2"]) == 2
     assert main(["verify", "--theorem", "deltac"]) == 2
     assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
+    # a bool or a float beside an equal int vertex, in either order, and a
+    # document nested too deeply to parse
+    for facet in ("[1, true]", "[true, 1]", "[1, 1.0]", "[1.0, 1]"):
+        (tmp_path / "bad.json").write_text(f'{{"facets": [{facet}]}}')
+        assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+        assert "not all positive integers" in capsys.readouterr().err
+    (tmp_path / "deep.json").write_text('{"facets": [' + "[" * 200_000 + "]" * 200_000 + "]}")
+    assert main(["analyze", str(tmp_path / "deep.json")]) == 2
+    assert "bad JSON" in capsys.readouterr().err
+    assert main(["verify", "--theorem", "edge-count", "--random", "20000,10000,1,1"]) == 2
+    assert "(d + 1) * n" in capsys.readouterr().err
+    for rmax in ("4000", "8000"):
+        assert main(["verify", "--theorem", "edge-count", "--exhaustive", f"30,5,{rmax}"]) == 3
+        assert "exceed the budget" in capsys.readouterr().err
     code = main(["verify", "--theorem", "deltac", "--exhaustive", "6,3,5",
                  "--budget", "100"])
     assert code == 3
@@ -222,46 +236,14 @@ def test_cli_refuses_negative_trial_counts(tmp_path, capsys):
 
 def test_cli_generate_makes_its_directory_only_for_good_parameters(tmp_path, capsys):
     out = tmp_path / "corpus"
-    assert main(["generate", "--n", "5", "--d", "0", "--r", "3", "--count", "2",
-                 "--out", str(out)]) == 2
-    assert not out.exists()
+    for n, d in (("5", "0"), ("20000", "10000")):
+        assert main(["generate", "--n", n, "--d", d, "--r", "3", "--count", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
     capsys.readouterr()
     assert main(["generate", "--n", "5", "--d", "2", "--r", "3", "--count", "0",
                  "--out", str(out)]) == 0
     assert out.is_dir() and not list(out.iterdir())
-
-
-def test_cli_refuses_oversized_corpus_parameters(tmp_path, capsys):
-    out = tmp_path / "corpus"
-    assert main(["generate", "--n", "20000", "--d", "10000", "--r", "1", "--count", "1",
-                 "--out", str(out)]) == 2
-    assert not out.exists()
-    assert main(["verify", "--theorem", "edge-count", "--random", "20000,10000,1,1"]) == 2
-    assert "(d + 1) * n" in capsys.readouterr().err
-    for rmax in ("4000", "8000"):
-        assert main(["verify", "--theorem", "edge-count", "--exhaustive", f"30,5,{rmax}"]) == 3
-        assert "exceed the budget" in capsys.readouterr().err
-
-
-def test_cli_refuses_bool_vertices_and_deep_json(tmp_path, capsys):
-    deep = tmp_path / "deep.json"
-    deep.write_text('{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}")
-    for facets in ("[[1, true]]", "[[true, 1]]", "[[1, 1.0]]", "[[1.0, 1]]"):
-        (tmp_path / "bad.json").write_text(f'{{"facets": {facets}}}')
-        assert main(["analyze", str(tmp_path / "bad.json")]) == 2
-    assert main(["analyze", str(deep)]) == 2
-    assert "bad JSON" in capsys.readouterr().err
-    # under --files a document that does not parse is a skip beside the good one
-    good = tmp_path / "good.txt"
-    good.write_text("1 2\n2 3\n")
-    out = tmp_path / "rep.json"
-    assert main(["verify", "--theorem", "edge-count", "--files", str(deep), str(good),
-                 "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["instances"] == 2 and rep["confirmations"] == 1
-    assert [s["document"] for s in rep["skips"]] == [{"name": str(deep)}]
-    assert rep["skips"][0]["reason"].startswith("unreadable document: bad JSON")
-    capsys.readouterr()
 
 
 def _readings(tabulation):
