@@ -80,7 +80,6 @@ from .linegraph import (
     _ridge_counts,
     _ridge_rows,
     _triangle_census,
-    edge_count_formula,
     make_cycle_complex,
     predicted_beta2,
 )
@@ -430,8 +429,11 @@ def _first_row_mismatch(rows: tuple, crows: tuple):
 
 
 def _check_edge_count(cx, field, budget):
+    # a non-pure or empty complex raises here, before the try, so it is a
+    # skip as under every other statement
+    adjacency = _ridge_adjacency(cx)
     try:
-        total = edge_count_formula(cx)
+        total = _edge_total(*adjacency)
     except RidgelineError as exc:
         return COUNTEREXAMPLE, {"error": str(exc)}
     return CONFIRMED, {"edges": total}

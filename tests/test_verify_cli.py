@@ -114,11 +114,17 @@ def test_files_corpus(tmp_path):
     assert rep.instances == 2 and rep.confirmations == 2
 
 
-def test_nonpure_file_becomes_skip(tmp_path):
+def test_nonpure_file_becomes_skip(tmp_path, capsys):
+    """Every statement skips a non-pure document with the facet-size reason,
+    edge-count too, and the CLI then exits 0, not 10."""
     p = tmp_path / "np.txt"
     p.write_text("1 2\n3 4 5\n")
-    rep = verify("betti2", ("files", (str(p),)), stable_time=True)
-    assert rep.instances == 1 and rep.trials == 0 and len(rep.skips) == 1
+    for theorem in ("betti2", "edge-count"):
+        rep = verify(theorem, ("files", (str(p),)), stable_time=True)
+        assert rep.instances == 1 and rep.trials == 0 and len(rep.skips) == 1
+        assert rep.skips[0]["reason"] == "facet size is defined for pure complexes only"
+        assert main(["verify", "--theorem", theorem, "--files", str(p), "--stable-output"]) == 0
+        capsys.readouterr()
 
 
 def test_betti2_tabulation_holds_every_reading_with_no_trial(tmp_path):
