@@ -95,7 +95,9 @@ LINEGRAPH_FACETS = ((1, 2, 5), (1, 4, 5), (1, 4, 7), (1, 5, 6), (2, 3, 4), (2, 3
 
 # generated with the code before the bitmask line-graph core
 GOLDEN = {
-    'edge-count': 'bfbe368a8409585758bec596d6bb053e0d23e7b71f6b941dd1cec400d818b1a4',
+    # re-frozen when edge-count began to skip non-pure documents: nonpure.txt
+    # moved from the counterexamples to the skips, with the facet-size reason
+    'edge-count': '043a1877d926a992420543fca97a074658fb9b8313f336febff18a90394b6b45',
     'betti2': '470ac1d73abf69e13f7d0d1996c21af03ea65035160a2a8ac2bdcc834a33714c',
     'ev-d2': '181c9cbf8e305abaa7787652be4223baeacd48e46fb0d39a33dd54288b080f75',
     'deltac': 'f5206c389df8e17c08d3af5dad396c9754db0fbb502c858d61cb438e08e392f0',
