@@ -12,7 +12,6 @@ from .algebra import (
     BettiTable,
     FieldChoice,
     MonomialIdeal,
-    beta,
     beta_in_degree,
     betti_table,
     edge_ideal,
@@ -23,15 +22,11 @@ from .algebra import (
     is_cohen_macaulay,
     monomial_ideal,
     reduced_homology_ranks,
-    regularity,
     stanley_reisner_ideal,
 )
 from .complexes import (
-    Clutter,
     SimplicialComplex,
     alexander_dual,
-    clutter,
-    clutter_of_complex,
     complement_complex,
     dimension,
     facet_size,
@@ -40,7 +35,6 @@ from .complexes import (
     is_chordal_complex,
     is_pure,
     is_shellable,
-    is_simplicial_vertex,
     join,
     minimal_nonfaces,
     single_swap_order,
@@ -81,7 +75,6 @@ from .harness import (
     analyze,
     complex_document,
     enumerate_pure_complexes,
-    parse_complex,
     parse_document,
     random_pure_complex,
     render_analysis,

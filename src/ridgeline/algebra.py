@@ -26,9 +26,9 @@ strong homotopy types). A window that collapses to a point needs no rank;
 any other is answered from its core, itself a window looked up in the same
 memo, so ranks are taken only for cores that miss.
 
-On top of the table sit regularity, linear resolutions, linear quotients,
-the dual criterion for Cohen-Macaulayness and the chordal-complement test for
-edge ideals.
+On top of the table sit linear resolutions, linear quotients, the dual
+criterion for Cohen-Macaulayness and the chordal-complement test for edge
+ideals.
 """
 
 from __future__ import annotations
@@ -398,21 +398,12 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
     return BettiTable(tuple(sorted(entries.items())), field)
 
 
-def beta(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
-    """One graded Betti number of S/I (so (0,0) gives 1)."""
-    _check_ideal(ideal)
-    _check_int(i, "i")
-    _check_int(j, "j")
-    if i == 0:
-        return 1 if j == 0 else 0
-    return betti_table(ideal, field).as_dict().get((i, j), 0)
-
-
 def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
-    """One graded Betti number by scanning only the degree-j vertex subsets.
+    """One graded Betti number of S/I (so (0, 0) gives 1), by scanning only
+    the degree-j vertex subsets.
 
-    Same value as beta(ideal, i, j, field) but without filling the whole
-    table; the large field-agreement sweeps call this.
+    For i >= 1 it is the (i, j) entry of ``betti_table(ideal, field)``, got
+    without filling the whole table.
     """
     _check_ideal(ideal)
     _check_int(i, "i")
@@ -423,13 +414,6 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) 
     if i < 0 or j < i:
         return 0
     return sum(hom[j - i] for _, hom in _hochster_scan(ideal, field, j))
-
-
-def regularity(ideal: MonomialIdeal, field=FieldChoice.GF2) -> int:
-    """max(j - i) over the nonzero entries of the table of S/I."""
-    _check_ideal(ideal)
-    table = betti_table(ideal, field)
-    return max((j - i for (i, j), _ in table.entries), default=0)
 
 
 def has_linear_resolution(ideal: MonomialIdeal, field=FieldChoice.GF2) -> bool:

@@ -1,4 +1,4 @@
-"""Simplicial complexes presented by their facets, and clutters.
+"""Simplicial complexes presented by their facets.
 
 Vertices are positive integers. A complex stores an explicit ambient vertex
 set (needed for complements and duals) plus the canonical sorted tuple of
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import (
@@ -35,7 +35,6 @@ from .errors import (
     NotPure,
     OutOfAmbient,
     OverlappingAmbients,
-    UnknownVertex,
 )
 
 Face = tuple  # strictly increasing tuple of positive integers
@@ -188,12 +187,6 @@ def _check_complex(cx) -> None:
         raise BadParameters(f"expected a SimplicialComplex, got {type(cx).__name__}")
 
 
-def _check_clutter(cl) -> None:
-    """Refuse anything but a Clutter, once at the entry of a clutter routine."""
-    if not isinstance(cl, Clutter):
-        raise BadParameters(f"expected a Clutter, got {type(cl).__name__}")
-
-
 def _check_ambient_cap(n: int, what: str) -> None:
     """Refuse a subset scan over more than AMBIENT_CAP vertices."""
     if n > AMBIENT_CAP:
@@ -281,17 +274,6 @@ def _simplicial_bit(through, kept, bit: int) -> bool:
             else:
                 return False
     return True
-
-
-def is_simplicial_vertex(cx: SimplicialComplex, v: int) -> bool:
-    """Whether every two distinct facets through v have a third facet inside
-    their union with v removed. A vertex in at most one facet qualifies
-    vacuously, so free vertices are always simplicial.
-    """
-    _check_complex(cx)
-    if v not in cx.ambient:
-        raise UnknownVertex(f"vertex {v} is not in the ambient set")
-    return _simplicial_bit(*_split(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)))
 
 
 def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
@@ -447,45 +429,15 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = None, *,
     return tuple(cx.facets[i] for i in order)
 
 
-@dataclass(frozen=True)
-class Clutter:
-    """An antichain of circuits over an explicit ambient set."""
-
-    ambient: tuple
-    circuits: tuple
-
-
-def clutter(circuits: Iterable[Iterable[int]], ambient: Iterable[int] | None = None) -> Clutter:
-    """Build a clutter; the circuits must already form an antichain."""
-    circ = tuple(sorted(as_face(c) for c in circuits))
-    for a, b in combinations(circ, 2):
-        if set(a) <= set(b) or set(b) <= set(a):
-            raise BadParameters(f"circuits {a} and {b} violate the antichain condition")
-    support = set()
-    for c in circ:
-        support.update(c)
-    if ambient is None:
-        amb = tuple(sorted(support))
-    else:
-        amb = as_face(ambient)
-        if not support <= set(amb):
-            raise OutOfAmbient("circuit vertices lie outside the ambient set")
-    return Clutter(amb, circ)
-
-
-def clutter_of_complex(cx: SimplicialComplex) -> Clutter:
-    """The facets of a complex viewed as circuits."""
+def independence_complex(cx: SimplicialComplex) -> SimplicialComplex:
+    """Complex, over the same ambient, of the vertex sets that contain no
+    facet of ``cx``: the facets are read as circuits, so they are its
+    minimal non-faces."""
     _check_complex(cx)
-    return Clutter(cx.ambient, cx.facets)
-
-
-def independence_complex(cl: Clutter) -> SimplicialComplex:
-    """Complex of vertex sets containing no circuit."""
-    _check_clutter(cl)
-    amb = cl.ambient
+    amb = cx.ambient
     n = len(amb)
     _check_ambient_cap(n, "independence_complex")
-    independent, _ = nonface_indicator(_masks_of(cl.circuits, amb), (1 << n) - 1)
+    independent, _ = nonface_indicator(_masks_of(cx.facets, amb), (1 << n) - 1)
     facets = []
     for m in range(1 << n):
         if not independent[m]:

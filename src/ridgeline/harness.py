@@ -36,7 +36,6 @@ from .complexes import (
     SimplicialComplex,
     _check_complex,
     alexander_dual,
-    clutter_of_complex,
     complement_complex,
     dimension,
     facet_size,
@@ -153,13 +152,8 @@ def parse_document(data) -> tuple:
     return from_facets(facets), None
 
 
-def parse_complex(data) -> SimplicialComplex:
-    """Parse a complex from JSON bytes/text or line-per-facet text."""
-    return parse_document(data)[0]
-
-
 def serialize_complex(cx: SimplicialComplex, name: str | None = None) -> bytes:
-    """Canonical JSON bytes; parse_complex inverts this exactly."""
+    """Canonical JSON bytes; parse_document inverts this exactly."""
     _check_complex(cx)
     doc = complex_document(cx, name)
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
@@ -597,7 +591,7 @@ def _check_corollary_chain(cx, field, budget):
         checks["complement_chordal"] = is_chordal_complex(complement_complex(cx), budget)
     except DegenerateComplement:
         checks["complement_chordal"] = None
-    ind = independence_complex(clutter_of_complex(cx))
+    ind = independence_complex(cx)
     checks["independence_shellable"] = (
         is_shellable(ind, budget, allow_nonpure=True) is not None
     )

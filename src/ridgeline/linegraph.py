@@ -23,10 +23,13 @@ taken from its output ``(d, masks, rows)`` by a helper on those rows:
 ``_edge_total`` (the edge count, counted pair by pair on the masks and
 checked against the rows' degree sum), ``_ridge_counts``, ``_triangle_census``
 (the classified triangles, from which ``_nt_count`` takes each reading of Nt)
-and ``_complete_shape``. The public functions are thin wrappers that check
-their input and make that one pass; a caller that needs several readings of
-one complex, as the betti2, ev-d2 and complete statements and ``analyze`` do,
-calls ``_ridge_adjacency`` itself and passes its output to each helper.
+and ``_complete_shape``. ``_ridge_adjacency`` is also the one entry check:
+it starts with ``facet_size``, which refuses a non-complex, an empty complex
+and a non-pure one, so every public reading is a thin wrapper that calls it
+and passes its output to one helper (``line_graph`` also refuses facet size
+1). A caller that needs several readings of one complex, as the betti2,
+ev-d2, edge-count and complete statements and ``analyze`` do, calls
+``_ridge_adjacency`` itself and passes its output to each helper.
 """
 
 from __future__ import annotations
@@ -42,14 +45,12 @@ from .complexes import (
     _masks_of,
     facet_size,
     from_facets,
-    is_pure,
 )
 from .errors import (
     BadParameters,
     Budget,
     DimensionTooSmall,
     EmptyInput,
-    NotPure,
     RidgelineError,
     search_budget,
 )
@@ -79,14 +80,6 @@ class LabeledLineGraph:
 
     graph: Graph
     facet_of: tuple  # facet_of[i-1] is the facet behind vertex i
-
-
-def _require_pure(cx: SimplicialComplex) -> int:
-    if cx.is_empty:
-        raise EmptyInput("line graph needs at least one facet")
-    if not is_pure(cx):
-        raise NotPure("line graphs are defined for pure complexes")
-    return len(cx.facets[0])
 
 
 def _ridge_adjacency(cx: SimplicialComplex) -> tuple:
@@ -124,24 +117,15 @@ def _is_complete(rows: tuple) -> bool:
 
 def line_graph(cx: SimplicialComplex) -> LabeledLineGraph:
     """Line graph of a pure complex of facet size at least 2."""
-    _check_complex(cx)
-    d = _require_pure(cx)
+    d, _, rows = _ridge_adjacency(cx)
     if d < 2:
         raise DimensionTooSmall("line graph needs facets of size at least 2")
-    return LabeledLineGraph(Graph.from_adj(_ridge_adjacency(cx)[2]), cx.facets)
-
-
-def _pure_adjacency(cx: SimplicialComplex) -> tuple:
-    """``_ridge_adjacency`` behind the line-graph entry checks: a complex,
-    nonempty and pure, each refused with the line graph's own message."""
-    _check_complex(cx)
-    _require_pure(cx)
-    return _ridge_adjacency(cx)
+    return LabeledLineGraph(Graph.from_adj(rows), cx.facets)
 
 
 def ridge_counts(cx: SimplicialComplex) -> tuple:
     """s_i = number of later facets meeting facet i in all but one vertex."""
-    return _ridge_counts(_pure_adjacency(cx)[2])
+    return _ridge_counts(_ridge_adjacency(cx)[2])
 
 
 def _ridge_counts(rows: tuple) -> tuple:
@@ -153,7 +137,7 @@ def _ridge_counts(rows: tuple) -> tuple:
 def edge_count_formula(cx: SimplicialComplex) -> int:
     """Edge count of the line graph as the sum of the ridge counts,
     cross-checked against the degree sum of the adjacency rows."""
-    return _edge_total(*_pure_adjacency(cx))
+    return _edge_total(*_ridge_adjacency(cx))
 
 
 def _edge_total(d: int, masks: list, rows: tuple) -> int:
@@ -183,7 +167,7 @@ def classify_triangles(cx: SimplicialComplex) -> tuple:
     ``graphs.triangles``. Facet size 1, where the line graph constructor
     refuses to run, still classifies.
     """
-    return _triangle_census(*_pure_adjacency(cx))
+    return _triangle_census(*_ridge_adjacency(cx))
 
 
 def _triangle_census(d: int, masks: list, rows: tuple) -> tuple:
@@ -258,7 +242,7 @@ def predicted_beta2(cx: SimplicialComplex, interp: NtInterpretation,
                     budget: int | None = None) -> int:
     """Edge count of the line graph minus the chosen correction term."""
     interp = _nt_reading(cx, interp, budget)
-    adjacency = _pure_adjacency(cx)
+    adjacency = _ridge_adjacency(cx)
     nt = _nt_count(_triangle_census(*adjacency), interp, budget)
     return _edge_total(*adjacency) - nt
 
@@ -277,7 +261,7 @@ def characterize_complete(cx: SimplicialComplex) -> str:
     vertices, one of the two shapes must apply; a Neither answer there is an
     internal contradiction and raises.
     """
-    return _complete_shape(*_pure_adjacency(cx))
+    return _complete_shape(*_ridge_adjacency(cx))
 
 
 def _complete_shape(d: int, masks: tuple, rows: tuple) -> str:

@@ -20,6 +20,7 @@ from oracles import (
     oracle_minor_chase,
     oracle_single_swap_order,
 )
+from ridgeline.complexes import _masks_of, _simplicial_bit, _split
 from ridgeline.errors import Budget
 
 CHAIN5 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]
@@ -101,7 +102,7 @@ def test_subset_scans_match_oracles_exhaustive():
         for family in antichains(amb):
             cx = rl.SimplicialComplex(amb, family)
             assert sorted(rl.minimal_nonfaces(cx)) == oracle_minimal_nonfaces(family, amb), family
-            ind = rl.independence_complex(rl.Clutter(amb, family))
+            ind = rl.independence_complex(cx)
             assert ind.ambient == amb
             assert list(ind.facets) == oracle_independence_complex(family, amb), family
 
@@ -111,7 +112,7 @@ def test_subset_scans_refuse_above_the_cap():
     with pytest.raises(rl.BudgetExceeded):
         rl.minimal_nonfaces(rl.SimplicialComplex(big, ((1, 2),)))
     with pytest.raises(rl.BudgetExceeded):
-        rl.independence_complex(rl.Clutter(big, ((1, 2),)))
+        rl.independence_complex(rl.SimplicialComplex(big, ((1, 2),)))
     ideal = rl.monomial_ideal([(1, 2)], ambient=big)
     with pytest.raises(rl.BudgetExceeded):
         rl.betti_table(ideal)
@@ -160,14 +161,21 @@ def test_deletion_contraction():
         deletion(cx, 9)
 
 
+def _is_simplicial(cx, v):
+    """The chase's simplicial test at ambient vertex v of cx."""
+    return _simplicial_bit(*_split(_masks_of(cx.facets, cx.ambient), 1 << cx.ambient.index(v)))
+
+
 def test_simplicial_and_free_vertices():
     cx = rl.from_facets(CHAIN5)
     # free vertices (in exactly one facet) are simplicial
-    assert rl.is_simplicial_vertex(cx, 1) and rl.is_simplicial_vertex(cx, 7)
-    assert not rl.is_simplicial_vertex(cx, 3)
+    assert _is_simplicial(cx, 1) and _is_simplicial(cx, 7)
+    assert not _is_simplicial(cx, 3)
     # the counterexample complex has no simplicial vertex at all
     gamma = rl.from_facets(GAMMA)
-    assert not any(rl.is_simplicial_vertex(gamma, v) for v in gamma.support)
+    assert not any(_is_simplicial(gamma, v) for v in gamma.support)
+    # an ambient vertex in no facet qualifies vacuously
+    assert _is_simplicial(rl.from_facets([[1, 2], [2, 3]], ambient=[1, 2, 3, 4]), 4)
 
 
 def test_chordal_complex_examples():
@@ -212,7 +220,7 @@ def _assert_chase_matches_oracle(cx):
     for limit in {lim for lim in (1, steps // 2, steps - 1, steps) if lim >= 1}:
         assert _chase_and_steps(cx, limit) == _oracle_chase(cx.facets, limit), (limit, cx)
     for v in cx.ambient:
-        assert rl.is_simplicial_vertex(cx, v) == oracle_is_simplicial(cx.facets, v), (v, cx)
+        assert _is_simplicial(cx, v) == oracle_is_simplicial(cx.facets, v), (v, cx)
 
 
 def test_minor_chase_matches_oracle_exhaustive():
@@ -240,13 +248,6 @@ def test_minor_chase_matches_oracle_nonpure(family, extra):
     support = set().union(*family)
     cx = rl.from_facets(family, ambient=support | set(range(8, 8 + extra)))
     _assert_chase_matches_oracle(cx)
-
-
-def test_vertex_tests_reject_unknown_vertices():
-    cx = rl.from_facets([[1, 2], [2, 3]], ambient=[1, 2, 3, 4])
-    assert rl.is_simplicial_vertex(cx, 4)
-    with pytest.raises(rl.UnknownVertex):
-        rl.is_simplicial_vertex(cx, 5)
 
 
 def test_shellable_matches_textbook_oracle_exhaustive():
@@ -304,12 +305,12 @@ _LATER_ARGS = {"interp": "all", "v": 1, "i": 2, "j": 3, "b": rl.from_facets([[9]
                "leaves": 2, "max_per_vertex": 2, "d": 2, "max_vertices": 4}
 # the type each walked first parameter must hold
 _FIRST_PARAMS = {"cx": "SimplicialComplex", "a": "SimplicialComplex",
-                 "ideal": "MonomialIdeal", "cl": "Clutter", "g": "Graph"}
+                 "ideal": "MonomialIdeal", "g": "Graph"}
 
 
 def test_every_public_complex_function_refuses_a_non_complex():
     """Each public function whose first parameter is a complex (``cx``, or
-    ``a`` of ``join``), an ideal, a clutter or a graph raises the typed
+    ``a`` of ``join``), an ideal or a graph raises the typed
     BadParameters for a string, never an AttributeError from inside."""
     walked = []
     for name in sorted(dir(rl)):
@@ -332,11 +333,11 @@ def test_every_public_complex_function_refuses_a_non_complex():
         "line_graph", "ridge_counts", "edge_count_formula", "classify_triangles",
         "predicted_beta2", "characterize_complete", "count_Nt",
         "facet_size", "is_pure", "dimension",
-        "complement_complex", "alexander_dual", "minimal_nonfaces", "is_simplicial_vertex",
-        "clutter_of_complex", "facet_ideal", "stanley_reisner_ideal", "reduced_homology_ranks",
+        "complement_complex", "alexander_dual", "minimal_nonfaces",
+        "facet_ideal", "stanley_reisner_ideal", "reduced_homology_ranks",
         "is_cohen_macaulay", "is_chordal_complex", "is_shellable",
         "join", "independence_complex",
-        "betti_table", "beta", "beta_in_degree", "regularity",
+        "betti_table", "beta_in_degree",
         "has_linear_quotients", "has_linear_resolution",
         "complement", "diameter", "is_connected", "line_graph_of_graph", "triangles",
         "is_chordal_graph", "has_induced_star", "clique_edge_partition", "edge_ideal",
@@ -352,11 +353,12 @@ def test_single_swap_order_validates():
 
 
 def test_independence_complex_and_clutter():
-    cl = rl.clutter([[1, 2], [2, 3]])
-    ind = rl.independence_complex(cl)
-    assert ind.facets == ((1, 3), (2,))
+    # the facets {1,2} and {2,3} form a clutter: its circuits, the minimal
+    # non-faces of the independence complex
     cx = rl.from_facets([[1, 2], [2, 3]])
-    assert rl.clutter_of_complex(cx).circuits == cx.facets
+    ind = rl.independence_complex(cx)
+    assert ind.ambient == cx.ambient and ind.facets == ((1, 3), (2,))
+    assert rl.minimal_nonfaces(ind) == cx.facets
 
 
 @given(st.integers(4, 7), st.integers(2, 3), st.integers(1, 5), st.integers(0, 10 ** 6))

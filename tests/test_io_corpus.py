@@ -20,39 +20,39 @@ def test_parse_json_document():
     assert name == "t"
     assert cx.ambient == (1, 2, 3, 4)
     assert cx.facets == ((1, 2), (2, 3))
-    cx2 = rl.parse_complex('{"facets": [[3,1,2]]}')
+    cx2 = rl.parse_document('{"facets": [[3,1,2]]}')[0]
     assert cx2.facets == ((1, 2, 3),)
 
 
 def test_parse_text_document():
-    cx = rl.parse_complex("# a comment\n1 2 3\n\n2 3 4  # trailing\n")
+    cx = rl.parse_document("# a comment\n1 2 3\n\n2 3 4  # trailing\n")[0]
     assert cx.facets == ((1, 2, 3), (2, 3, 4))
     assert cx.ambient == (1, 2, 3, 4)
 
 
 def test_parse_errors():
     with pytest.raises(rl.ParseError):
-        rl.parse_complex("1 2\nx 3\n")
+        rl.parse_document("1 2\nx 3\n")
     with pytest.raises(rl.ParseError):
-        rl.parse_complex("1 -2\n")
+        rl.parse_document("1 -2\n")
     with pytest.raises(rl.ParseError):
-        rl.parse_complex('{"facets": "nope"}')
+        rl.parse_document('{"facets": "nope"}')
     with pytest.raises(rl.ParseError):
-        rl.parse_complex('{"facets": [[1,2]], "ambient": 3}')
+        rl.parse_document('{"facets": [[1,2]], "ambient": 3}')
     with pytest.raises(rl.ParseError):
-        rl.parse_complex("{broken json")
+        rl.parse_document("{broken json")
     with pytest.raises(rl.ParseError, match="recursion"):
-        rl.parse_complex('{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}")
+        rl.parse_document('{"facets": [' + "[" * 200_000 + "1" + "]" * 200_000 + "]}")
     with pytest.raises(rl.ParseError, match="digits"):
-        rl.parse_complex('{"facets": [[1' + "0" * 5000 + "]]}")
+        rl.parse_document('{"facets": [[1' + "0" * 5000 + "]]}")
     with pytest.raises(rl.EmptyInput):
-        rl.parse_complex("# nothing here\n")
+        rl.parse_document("# nothing here\n")
 
 
 def test_serialize_round_trip_preserves_ambient():
     cx = rl.from_facets([[1, 2]], ambient=[1, 2, 3, 4, 5])
     blob = rl.serialize_complex(cx)
-    assert rl.parse_complex(blob) == cx
+    assert rl.parse_document(blob)[0] == cx
     doc = json.loads(blob)
     assert doc["ambient"] == [1, 2, 3, 4, 5]
 
@@ -217,7 +217,7 @@ def test_property_serialize_parse_identity(n, d, r, seed):
     d = min(d, n)
     r = min(r, comb(n, d))
     cx = rl.random_pure_complex(n, d, r, seed)
-    assert rl.parse_complex(rl.serialize_complex(cx)) == cx
+    assert rl.parse_document(rl.serialize_complex(cx))[0] == cx
     # the analyze document form also parses back
     doc = rl.complex_document(cx, name="x")
     blob = json.dumps(doc).encode()

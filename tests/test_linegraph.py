@@ -77,7 +77,7 @@ def test_count_nt_interpretations_diverge():
     assert rl.predicted_beta2(cx, "max_disjoint") == 5
     assert rl.predicted_beta2(cx, "isolated") == 6
     # the homological answer: none of the three interpretations is right here
-    assert rl.beta(rl.facet_ideal(cx), 2, 4) == 3
+    assert rl.beta_in_degree(rl.facet_ideal(cx), 2, 4) == 3
     assert oracle_beta(BD3, [1, 2, 3, 4], 2, 4) == 3
 
 
@@ -85,11 +85,11 @@ def test_predicted_beta2_matches_on_friendly_examples():
     # star: line graph K3, no simplex-type triangles
     star = rl.make_cone(3, 2)
     assert rl.predicted_beta2(star, "all") == 3
-    assert rl.beta(rl.facet_ideal(star), 2, 3) == 3
+    assert rl.beta_in_degree(rl.facet_ideal(star), 2, 3) == 3
     # triangle: one simplex-type triangle
     tri = rl.make_triangle_join(2, "b")
     assert rl.predicted_beta2(tri, "all") == 2
-    assert rl.beta(rl.facet_ideal(tri), 2, 3) == 2
+    assert rl.beta_in_degree(rl.facet_ideal(tri), 2, 3) == 2
 
 
 def test_make_cone():
