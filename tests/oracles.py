@@ -675,16 +675,15 @@ def assert_step_for_step(search, oracle, budget=None):
     return steps
 
 
-def oracle_first_row_mismatch(rows, crows, mapped):
+def oracle_first_row_mismatch(rows, crows):
     """The pair loop that ``harness._first_row_mismatch`` replaces: every
     pair i < j in lexicographic order, comparing bit j of ``rows[i]`` with
-    bit ``mapped[j]`` of ``crows[mapped[i]]``."""
+    bit j of ``crows[i]``."""
     r = len(rows)
     for i in range(r):
-        crow = crows[mapped[i]]
         for j in range(i + 1, r):
             left = bool(rows[i] >> j & 1)
-            right = bool(crow >> mapped[j] & 1)
+            right = bool(crows[i] >> j & 1)
             if left != right:
                 return i, j, left, right
     return None
