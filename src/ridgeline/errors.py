@@ -73,7 +73,7 @@ def search_budget(override: int | None = None) -> int:
     """Resolve the step budget for a bounded search."""
     if override is not None:
         if isinstance(override, bool) or not isinstance(override, int) or override <= 0:
-            raise BadParameters(f"budget must be a positive integer, got {override!r}")
+            raise BadParameters("budget must be a positive integer")
         return override
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is not None:

@@ -34,7 +34,7 @@ class Graph:
             _check_int(a, "vertex")
             _check_int(b, "vertex")
             if not 1 <= a <= order or not 1 <= b <= order:
-                raise UnknownVertex(f"edge ({a},{b}) leaves the vertex range 1..{order}")
+                raise UnknownVertex(f"an edge leaves the vertex range 1..{order}")
             if a == b:
                 raise BadParameters(f"loop at vertex {a}")
             adj[a - 1] |= 1 << (b - 1)
@@ -76,7 +76,7 @@ class Graph:
 
     def _check(self, v: int) -> None:
         if not 1 <= v <= self.order:
-            raise UnknownVertex(f"vertex {v} leaves the range 1..{self.order}")
+            raise UnknownVertex(f"a vertex leaves the range 1..{self.order}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj

@@ -176,14 +176,14 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     for what, value in (("n", n), ("d", d), ("r", r), ("seed", seed)):
         _check_int(value, what)
     if d < 1 or n < d:
-        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise BadParameters("need 1 <= d <= n")
     if (d + 1) * n > DRAW_TABLE_CAP:
         raise BadParameters(f"need (d + 1) * n <= {DRAW_TABLE_CAP} for a random draw")
     top = comb(n, d)
     if top > sys.maxsize:
         raise BadParameters(f"C({n},{d}) d-subsets are too many to index")
     if not 1 <= r <= top:
-        raise BadParameters(f"need 1 <= r <= C({n},{d}) = {top}, got r={r}")
+        raise BadParameters(f"need 1 <= r <= C({n},{d}) = {top}")
     rng = random.Random(seed)
     table = _binomials(n, d)
     # sampling indices draws exactly what sampling the list of all d-subsets
@@ -246,7 +246,7 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
     for what, value in (("n", n), ("d", d), ("r_max", r_max)):
         _check_int(value, what)
     if d < 1 or n < d:
-        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise BadParameters("need 1 <= d <= n")
     if r_max < 1:
         raise BadParameters("r_max must be at least 1")
     limit = search_budget(budget)
@@ -690,7 +690,7 @@ def _iter_corpus(corpus, seed, budget=None):
     if kind == "random":
         _, n, d, r, trials = corpus
         if trials < 0:
-            raise BadParameters(f"trial count must be nonnegative, got {trials}")
+            raise BadParameters("trial count must be nonnegative")
         for t in range(trials):
             sub_seed = seed * 1_000_003 + t
             cx = random_pure_complex(n, d, r, sub_seed)

@@ -164,10 +164,10 @@ def test_corpus_parameters_must_be_integers():
                    (), ("files",), ("files", "abc")]:
         with pytest.raises(rl.BadParameters, match="corpus is"):
             rl.verify("edge-count", corpus)
-    # the range messages are unchanged
+    # the range messages keep their prefixes
     with pytest.raises(rl.BadParameters, match="need 1 <= d <= n"):
         rl.random_pure_complex(3, 0, 1, 1)
-    with pytest.raises(rl.BadParameters, match="trial count must be nonnegative, got -1"):
+    with pytest.raises(rl.BadParameters, match="trial count must be nonnegative"):
         rl.verify("edge-count", ("random", 8, 3, 5, -1))
 
 
@@ -188,6 +188,26 @@ def test_oversized_corpus_parameters_refuse_quickly(error, call):
     with pytest.raises(error):
         call()
     assert time.perf_counter() - start < 1
+
+
+HUGE = 10 ** 5000  # past the 4300 digits str() of an int allows
+
+
+@pytest.mark.parametrize("error, call", [
+    (rl.BadParameters, lambda: rl.random_pure_complex(5, HUGE, 1, 0)),
+    (rl.BadParameters, lambda: rl.random_pure_complex(5, 2, HUGE, 0)),
+    (rl.BadParameters, lambda: list(rl.enumerate_pure_complexes(3, HUGE, 1))),
+    (rl.BadParameters, lambda: rl.search_budget(-HUGE)),
+    (rl.BadParameters, lambda: rl.verify("edge-count", ("random", 5, 2, 2, 1), budget=-HUGE)),
+    (rl.BadParameters, lambda: rl.verify("edge-count", ("random", 5, 2, 2, -HUGE))),
+    (rl.UnknownVertex, lambda: rl.Graph(3, [(1, HUGE)])),
+    (rl.UnknownVertex, lambda: rl.Graph(3).degree(HUGE)),
+])
+def test_refusals_do_not_format_huge_ints(error, call):
+    """A refusal message that formatted the caller's int raised ValueError
+    for an int past the digit limit, in place of the typed error."""
+    with pytest.raises(error):
+        call()
 
 
 def test_draw_table_cap_is_the_boundary(monkeypatch):
