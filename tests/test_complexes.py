@@ -353,7 +353,7 @@ def test_single_swap_order_validates():
 
 
 def test_independence_complex_and_clutter():
-    # the facets {1,2} and {2,3} form a clutter: its circuits, the minimal
+    # the facets {1,2} and {2,3}, read as circuits, are the minimal
     # non-faces of the independence complex
     cx = rl.from_facets([[1, 2], [2, 3]])
     ind = rl.independence_complex(cx)

@@ -31,17 +31,15 @@ def _exported() -> set:
 
 def _names_read(source: str) -> set:
     """Names a module reads outside the definition of the name itself: bare
-    names, imported names, attributes of the package (``rl.x``), and string
-    constants, by which the benchmark's span hooks name their targets. A
-    method such as ``", ".join`` is not a read of ``join``."""
+    names, attributes of the package (``rl.x``), and string constants, by
+    which the benchmark's span hooks name their targets. A method such as
+    ``", ".join`` is not a read of ``join``."""
     uses = set()
     for stmt in ast.parse(source).body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 name = node.id
-            elif isinstance(node, ast.alias):
-                name = node.name
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in ("rl", "ridgeline")):
                 name = node.attr
