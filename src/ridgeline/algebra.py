@@ -3,10 +3,10 @@
 The central computation is a subset scan: the graded Betti number of S/I in
 homological index i and multidegree W equals the rank of reduced homology in
 dimension |W|-i-1 of the restriction to W of the complex whose non-faces are
-the sets containing a generator of I. Only a W that is the union of the
-generators inside it (an element of the lcm lattice) can contribute; any
-other W has a cone point, so one scan serves the whole table and single
-degrees and skips such W before any rank is taken. Ranks come from
+the sets containing a generator of I. Only a W that is a union of
+generators (an element of the lcm lattice) can contribute, as any other W
+has a cone point; so one scan, which walks that lattice alone, serves the
+whole table and single degrees. Ranks come from
 boundary-matrix ranks, over GF(2) through the bit-row elimination in
 ``kernels`` and over the rationals through exact fraction-free integer
 elimination.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from math import gcd
 
 from . import kernels
@@ -72,13 +71,11 @@ class FieldChoice(Enum):
 def _field(field) -> FieldChoice:
     if isinstance(field, FieldChoice):
         return field
-    if isinstance(field, str):
-        low = field.lower()
-        if low in ("gf2", "f2", "2"):
-            return FieldChoice.GF2
-        if low in ("rational", "rat", "q", "qq", "0"):
-            return FieldChoice.Rational
-    raise BadParameters(f"unknown field {field!r}")
+    if field == "gf2":
+        return FieldChoice.GF2
+    if field in ("rational", "rat"):
+        return FieldChoice.Rational
+    raise BadParameters("field must be 'gf2', 'rational' or 'rat'")
 
 
 @dataclass(frozen=True)
@@ -311,10 +308,10 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     """Reduced homology of the restriction to each window W of the generator
     support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
 
-    Only windows of ``size`` vertices are scanned when it is given. A window
-    that is not the union of the generators inside it is skipped: a vertex of
-    W in none of them is a cone point, so the restriction is acyclic
-    (Gasharov-Peeva-Welker, the lcm lattice).
+    The windows are the lcm lattice (Gasharov-Peeva-Welker): the unions of
+    generators, grown from the empty window one generator at a time, and
+    only those of ``size`` vertices when it is given. Any other W has a cone
+    point, a vertex in no generator inside W, and is never visited.
 
     ``hom`` depends only on the restriction of the ideal to W: the window
     and the generators inside it. It is memoized per field, keyed by those
@@ -323,8 +320,8 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     order-preserving relabelling of W onto 0..|W|-1, which preserves
     homology over any field, and the moved masks are exactly what the
     non-face indicator of W is built from, so equal keys mean equal ``hom``.
-    |W| is implied: the cover test makes the moved masks cover all |W|
-    positions.
+    |W| is implied: W is the union of the generators inside it, so the moved
+    masks cover all |W| positions.
 
     A window that misses the memo is strongly collapsed to its core
     (``_strong_core``), which keeps homology over any field. A cone settles
@@ -336,23 +333,18 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     entries, whichever kind of key is stored.
     """
     _check_ambient_cap(len(ideal.ambient), "Hochster scan")
-    supp = sorted(set().union(*map(set, ideal.generators))) if ideal.generators else []
-    s = len(supp)
+    supp = sorted(set().union(*ideal.generators))
     gen_masks = sorted(_masks_of(ideal.generators, supp))
-    if size is None:
-        windows = range(1, 1 << s)
-    else:
-        windows = map(sum, combinations([1 << b for b in range(s)], size))
+    top = len(supp) if size is None else size
+    windows = {0}
+    for g in gen_masks:
+        windows |= {u for w in windows if (u := w | g).bit_count() <= top}
+    windows.discard(0)
+    if size is not None:
+        windows = [w for w in windows if w.bit_count() == size]
     memo = _window_memos[field]
     for w_mask in windows:
-        cover = 0
-        inside = []
-        for gm in gen_masks:
-            if not gm & ~w_mask:
-                cover |= gm
-                inside.append(gm)
-        if cover != w_mask:
-            continue
+        inside = [gm for gm in gen_masks if not gm & ~w_mask]
         j = w_mask.bit_count()
         # compression keeps the order of subsets of W, so the key is sorted
         key = tuple(_compressed(inside, w_mask))
@@ -378,12 +370,11 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
 
 
 def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
-    """Full graded Betti table of S/I by scanning vertex subsets.
+    """Full graded Betti table of S/I by scanning the lcm lattice.
 
-    Only windows that are the union of the generators they contain (the
-    lcm lattice) can carry homology, so only those are sent to a rank
-    routine; the implicit beta_{0,0} = 1 is not stored. The first syzygies
-    are checked against the generator count on every table.
+    Only unions of generators can carry homology, so the scan walks those
+    windows alone; the implicit beta_{0,0} = 1 is not stored. The first
+    syzygies are checked against the generator count on every table.
     """
     _check_ideal(ideal)
     field = _field(field)
@@ -400,7 +391,7 @@ def betti_table(ideal: MonomialIdeal, field=FieldChoice.GF2) -> BettiTable:
 
 def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) -> int:
     """One graded Betti number of S/I (so (0, 0) gives 1), by scanning only
-    the degree-j vertex subsets.
+    the unions of generators with j vertices.
 
     For i >= 1 it is the (i, j) entry of ``betti_table(ideal, field)``, got
     without filling the whole table.

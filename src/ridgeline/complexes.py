@@ -40,7 +40,7 @@ from .errors import (
 Face = tuple  # strictly increasing tuple of positive integers
 
 AMBIENT_CAP = 16  # subset scans refuse larger vertex sets
-MAX_BITS = 20  # 2**20 face indicators is the most a builder will allocate
+MAX_BITS = 20  # 2**20 face indicators or family cells is the most a builder will allocate
 
 
 def as_face(vertices: Iterable[int]) -> Face:
@@ -52,11 +52,15 @@ def as_face(vertices: Iterable[int]) -> Face:
     try:
         face = list(vertices)
     except TypeError:  # not iterable
-        raise BadParameters(f"vertices {vertices!r} are not all positive integers") from None
-    for v in face:
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            raise BadParameters(f"vertices {face!r} are not all positive integers")
-    return tuple(sorted(set(face)))
+        face = vertices
+    else:
+        if all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in face):
+            return tuple(sorted(set(face)))
+    try:
+        shown = repr(face)
+    except ValueError:  # an int past the digits str() allows
+        shown = "given"
+    raise BadParameters(f"vertices {shown} are not all positive integers")
 
 
 def _maximal(faces: Iterable[Face]) -> tuple:
@@ -191,6 +195,12 @@ def _check_ambient_cap(n: int, what: str) -> None:
     """Refuse a subset scan over more than AMBIENT_CAP vertices."""
     if n > AMBIENT_CAP:
         raise BudgetExceeded(f"{what}: a subset scan over {n} vertices exceeds the cap of {AMBIENT_CAP}")
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse, before it is built, a family or table of more than 2**MAX_BITS cells."""
+    if cells > 1 << MAX_BITS:
+        raise BadParameters(f"{what} would hold more than 2**{MAX_BITS} cells")
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple:

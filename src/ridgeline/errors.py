@@ -96,7 +96,7 @@ class Budget:
         self.limit = search_budget(limit)
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded(f"search budget of {self.limit} steps exhausted")

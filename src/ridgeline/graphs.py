@@ -10,20 +10,21 @@ each chosen clique's mask is cleared at its own vertices.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import inf
 from typing import Iterable, Optional
 
+from .complexes import _check_cells
 from .errors import BadParameters, Budget, UnknownVertex
 
 
 class Graph:
-    """Simple graph on {1, .., order}; edges are unordered pairs."""
+    """Simple graph on {1, .., order}, order**2 <= 2**MAX_BITS; edges are unordered pairs."""
 
     __slots__ = ("order", "adj")
 
     def __init__(self, order: int, edges: Iterable[tuple] = ()):
         _check_count(order, "graph order")
+        _check_cells(order * order, "the adjacency table of a graph of this order")
         self.order = order
         adj = [0] * order
         for edge in edges:
@@ -375,16 +376,16 @@ def cycle_graph(n: int) -> Graph:
     _check_int(n, "vertex count")
     if n < 3:
         raise BadParameters("cycle graphs start at 3 vertices")
-    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    return Graph(n, ((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def complete_graph(n: int) -> Graph:
     _check_int(n, "vertex count")
-    return Graph(n, list(combinations(range(1, n + 1), 2)))
+    return Graph(n, ((a, b) for b in range(2, n + 1) for a in range(1, b)))
 
 
 def path_graph(n: int) -> Graph:
     _check_int(n, "vertex count")
     if n < 1:
         raise BadParameters("path graphs need at least one vertex")
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, ((i, i + 1) for i in range(1, n)))

@@ -37,10 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 from .complexes import (
     SimplicialComplex,
+    _check_cells,
     _check_complex,
     _masks_of,
     facet_size,
@@ -288,6 +289,7 @@ def make_cone(r: int, d: int) -> SimplicialComplex:
     _check_int(d, "d")
     if r < 1 or d < 2:
         raise BadParameters("cone family needs r >= 1 and d >= 2")
+    _check_cells(r * d, "the cone family")
     base = tuple(range(1, d))
     return from_facets([base + (d - 1 + i,) for i in range(1, r + 1)])
 
@@ -298,8 +300,8 @@ def make_simplex_subsets(d: int, count: int) -> SimplicialComplex:
     _check_int(count, "count")
     if d < 2 or not 1 <= count <= d + 1:
         raise BadParameters("simplex-subset family needs d >= 2, 1 <= count <= d+1")
-    subsets = list(combinations(range(1, d + 2), d))
-    return from_facets(subsets[:count])
+    _check_cells(count * d, "the simplex-subset family")
+    return from_facets(islice(combinations(range(1, d + 2), d), count))
 
 
 def make_triangle_join(d: int, case: str) -> SimplicialComplex:
@@ -329,6 +331,7 @@ def make_cycle_complex(r: int, d: int) -> SimplicialComplex:
     _check_int(d, "d")
     if r < 4 or d < 2:
         raise BadParameters("cycle family needs r >= 4 and d >= 2")
+    _check_cells(r * d, "the cycle family")
     if d < r - 1:
         window = d
         pad: tuple = ()

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's algorithms: homology ranks
 come from sympy exact linear algebra over explicitly assembled boundary
 matrices, Betti numbers from the subset-restriction formula evaluated the
 naive way (and beta_{2,d+1} of a pure facet ideal also in closed form by
-counting facets), shellability and linear quotients from permutation search
+counting facets, and whole tables from the order complexes of the lcm
+lattice), shellability and linear quotients from permutation search
 against the textbook conditions, and graph chordality from induced-cycle
 search, independence complexes from subsets checked one by one, the
 chordal minor chase from deletions and contractions of explicit facet
@@ -101,6 +102,39 @@ def oracle_beta(generators, ambient, i, j, field="gf2"):
         if -1 <= t <= len(hom) - 2:
             total += hom[t + 1]
     return total
+
+
+def oracle_betti_lcm(generators, field="gf2"):
+    """Graded Betti table of S/I from the lcm lattice, with no restriction
+    complex (Gasharov-Peeva-Welker): beta_{i,m} is the rank of reduced
+    homology in dimension i - 2 of the order complex of the open interval
+    (0, m), where the lattice is every union of a nonempty set of generators
+    and 0 is the empty union. Entries are summed into (i, |m|) and kept when
+    positive, as ``BettiTable.as_dict`` keeps them."""
+    gens = [frozenset(g) for g in generators]
+    lattice = {frozenset().union(*sub)
+               for k in range(1, len(gens) + 1) for sub in combinations(gens, k)}
+    table = {}
+    for m in lattice:
+        below = [u for u in lattice if u < m]
+        ups = [[b for b, v in enumerate(below)
+                if u < v and not any(u < w < v for w in below)] for u in below]
+        chains = []
+
+        def climb(chain):
+            if not ups[chain[-1]]:
+                chains.append(tuple(sorted(chain)))
+            for b in ups[chain[-1]]:
+                climb(chain + [b])
+
+        for a, u in enumerate(below):
+            if not any(w < u for w in below):
+                climb([a])
+        # the empty interval's order complex has the empty face alone
+        for p, rank in enumerate(oracle_homology(chains or [()], field)):
+            if rank:
+                table[(p + 1, len(m))] = table.get((p + 1, len(m)), 0) + rank
+    return table
 
 
 def clear_window_memos():

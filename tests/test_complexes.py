@@ -193,10 +193,10 @@ def _chase_and_steps(cx, budget=None):
     steps = 0
     spend = Budget.spend
 
-    def counting(self, amount=1):
+    def counting(self):
         nonlocal steps
         steps += 1
-        return spend(self, amount)
+        return spend(self)
 
     Budget.spend = counting
     try:

@@ -107,10 +107,10 @@ def _with_steps(search, *args):
     calls = 0
     spend = rl.Budget.spend
 
-    def counting(self, amount=1):
+    def counting(self):
         nonlocal calls
         calls += 1
-        spend(self, amount)
+        spend(self)
 
     rl.Budget.spend = counting
     try:

@@ -1,5 +1,8 @@
 """Monomial ideals, Betti tables, resolutions, quotients, CM, Froberg."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +11,12 @@ import ridgeline as rl
 from ridgeline import algebra
 from oracles import (
     all_labeled_graphs,
+    antichains,
     assert_step_for_step,
     clear_window_memos,
     oracle_beta,
     oracle_beta2_closed_form,
+    oracle_betti_lcm,
     oracle_is_cm_reisner,
     oracle_linear_quotients,
     oracle_single_swap_order,
@@ -43,6 +48,17 @@ def test_betti_degrees_must_be_integers():
     for i, j in ((1.5, 3), (True, 3), (1.0, 3), (1, 3.0)):
         with pytest.raises(rl.BadParameters, match="must be an integer"):
             rl.beta_in_degree(I, i, j)
+
+
+def test_field_spellings():
+    I = rl.monomial_ideal([[1, 2], [2, 3]])
+    for field, choice in ((rl.FieldChoice.GF2, rl.FieldChoice.GF2), ("gf2", rl.FieldChoice.GF2),
+                          (rl.FieldChoice.Rational, rl.FieldChoice.Rational),
+                          ("rational", rl.FieldChoice.Rational), ("rat", rl.FieldChoice.Rational)):
+        assert rl.betti_table(I, field).field is choice
+    for field in ("f2", "2", "q", "qq", "0", "GF2", "Rational", 2, 0, None, 10 ** 5000):
+        with pytest.raises(rl.BadParameters, match="field must be"):
+            rl.betti_table(I, field)
 
 
 def test_koszul_table():
@@ -119,8 +135,9 @@ def _assert_every_entry_matches_oracle(I):
 
 
 def test_pruned_scan_mixed_degrees_and_free_variables():
-    # windows that are not unions of the generators inside them are skipped:
-    # mixed generator degrees and variables in no generator make such windows
+    # windows that are not unions of the generators inside them are never
+    # visited: mixed generator degrees and variables in no generator make
+    # such windows
     cases = [
         ([[1, 2]], [1, 2, 3]),
         ([[1, 2], [3]], [1, 2, 3, 4]),
@@ -143,6 +160,40 @@ def test_pruned_scan_stanley_reisner_of_nonpure_complexes():
         cx = rl.from_facets(faces, ambient=range(1, n + 1))
         I = rl.stanley_reisner_ideal(cx)
         _assert_every_entry_matches_oracle(I)
+
+
+def _cover_rule_sizes(gens) -> Counter:
+    """Sizes of the windows the scan once kept: every nonempty subset W of
+    the generator support that the generators inside W cover."""
+    support = sorted(set().union(*map(set, gens)))
+    sizes = Counter()
+    for k in range(1, len(support) + 1):
+        for W in combinations(support, k):
+            inside = [set(g) for g in gens if set(g) <= set(W)]
+            if set().union(*inside) == set(W):
+                sizes[k] += 1
+    return sizes
+
+
+def test_scan_visits_exactly_the_lcm_lattice():
+    scan, gf2 = algebra._hochster_scan, rl.FieldChoice.GF2
+    for family in antichains(range(1, 6)):
+        if () in family:  # the unit ideal
+            continue
+        I = rl.monomial_ideal(family)
+        want = _cover_rule_sizes(family)
+        assert Counter(j for j, _ in scan(I, gf2)) == want, family
+        for j in range(0, 7):
+            assert sum(1 for _ in scan(I, gf2, j)) == want[j], (family, j)
+
+
+def test_tables_match_lcm_lattice_oracle_exhaustive_n4():
+    for family in antichains(range(1, 5)):
+        if family and () not in family:
+            I = rl.monomial_ideal(family)
+            for field, of in (("gf2", "gf2"), ("rational", "rat")):
+                assert rl.betti_table(I, field).as_dict() == oracle_betti_lcm(family, of), (
+                    family, field)
 
 
 @st.composite
@@ -172,6 +223,14 @@ def test_property_table_invariant_under_relabelling(pair):
         assert rl.betti_table(moved, field).entries == expected
 
 
+@given(_relabelled_ideals())
+@settings(max_examples=60, deadline=None)
+def test_property_tables_match_lcm_lattice_oracle(pair):
+    I = pair[0]
+    for field, of in (("gf2", "gf2"), ("rational", "rat")):
+        assert rl.betti_table(I, field).as_dict() == oracle_betti_lcm(I.generators, of)
+
+
 def _closed_form_agrees(cx):
     d = len(cx.facets[0])
     expected = oracle_beta2_closed_form(cx.facets, cx.ambient)
@@ -181,8 +240,6 @@ def _closed_form_agrees(cx):
 
 
 def test_beta2_closed_form_exhaustive():
-    from itertools import combinations
-
     pool = list(combinations(range(1, 6), 3))
     for r in range(1, 5):
         for family in combinations(pool, r):
@@ -249,8 +306,6 @@ def test_linear_quotient_search_matches_set_oracle_step_for_step():
 
 
 def test_quotients_imply_linear_resolution_when_equigenerated():
-    from itertools import combinations
-
     pool = list(combinations(range(1, 6), 2))
     import random
 
@@ -270,8 +325,6 @@ def test_cohen_macaulay_examples():
 
 
 def test_cohen_macaulay_matches_reisner_exhaustive():
-    from itertools import combinations
-
     # every pure complex on <= 5 vertices with d in {2,3}, up to 4 facets
     for d in (2, 3):
         pool = list(combinations(range(1, 6), d))
@@ -336,8 +389,6 @@ def test_corollary_chain_counts_on_exhaustive_5_3_5():
     # linear resolution needs generators of one degree, and these
     # Stanley-Reisner ideals are generated in degrees 2 and 3 (240 of them)
     # or 2 and 4 (30)
-    from collections import Counter
-
     report = rl.verify("corollary-chain", ("exhaustive", 5, 3, 5))
     assert (report.instances, report.trials) == (637, 465)
     assert (report.confirmations, len(report.counterexamples)) == (195, 270)

@@ -202,12 +202,39 @@ HUGE = 10 ** 5000  # past the 4300 digits str() of an int allows
     (rl.BadParameters, lambda: rl.verify("edge-count", ("random", 5, 2, 2, -HUGE))),
     (rl.UnknownVertex, lambda: rl.Graph(3, [(1, HUGE)])),
     (rl.UnknownVertex, lambda: rl.Graph(3).degree(HUGE)),
+    (rl.BadParameters, lambda: rl.Graph(HUGE)),
+    (rl.BadParameters, lambda: rl.from_facets([[HUGE, 0]])),
 ])
 def test_refusals_do_not_format_huge_ints(error, call):
     """A refusal message that formatted the caller's int raised ValueError
     for an int past the digit limit, in place of the typed error."""
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("make, fits, over, huge", [
+    # cells: facets times facet size, or order squared for a graph
+    (rl.make_cone, (32, 2), (33, 2), (HUGE, 2)),
+    (rl.make_cycle_complex, (32, 2), (33, 2), (HUGE, 2)),
+    (rl.make_simplex_subsets, (64, 1), (65, 1), (HUGE, 1)),
+    (rl.complete_graph, (8,), (9,), (HUGE,)),
+    (rl.cycle_graph, (8,), (9,), (HUGE,)),
+    (rl.path_graph, (8,), (9,), (HUGE,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_generated_families_refuse_past_the_cell_cap(monkeypatch, make, fits, over, huge):
+    """A builder refuses a family of more than 2**MAX_BITS cells before
+    building it. The cap is lowered to 64 cells first, so a builder that
+    lacks the refusal fails there, on a small family, and never reaches the
+    huge call, which would build until memory runs out."""
+    from ridgeline import complexes
+
+    monkeypatch.setattr(complexes, "MAX_BITS", 6)
+    make(*fits)
+    with pytest.raises(rl.BadParameters, match=r"more than 2\*\*6 cells"):
+        make(*over)
+    monkeypatch.undo()
+    with pytest.raises(rl.BadParameters, match=r"more than 2\*\*20 cells"):
+        make(*huge)
 
 
 def test_draw_table_cap_is_the_boundary(monkeypatch):
