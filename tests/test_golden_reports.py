@@ -61,7 +61,7 @@ FROBERG_CORPORA = tuple(c for c in RANDOM_CORPORA if c[2] == 2) + (("random", 7,
 COROLLARY_CORPUS = ("exhaustive", 5, 3, 5)
 
 STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
-              "star-free", "clique-partition", "shellable-connected", "cycle")
+              "star-free", "clique-partition", "shellable-connected", "dual-chordal", "cycle")
 
 # (theorem, corpus, budgets) chosen so that the budgets run out on some
 # instances and not on others, which pins every search's step count; the
@@ -106,6 +106,9 @@ GOLDEN = {
     'star-free': 'ac05b243e862282ac1d301ec9d87ed72df9ebdaa02f8b8417422a909b3e54914',
     'clique-partition': '5da76afa18918dd3514930ef3795d9f5a3b2b86f91efeac1e8c26bc107f20f6c',
     'shellable-connected': '7c1df2839a2c006ee80c1d208911c773a644be85ad5b3a4bff1c428d4862260b',
+    # frozen before the degenerate-complement refusal moved to the verify
+    # loop: pins the skips of whole.json (degenerate) and nonpure.txt (gate)
+    'dual-chordal': 'f884379727e8093bae8c244d530d469a981e5fae15dcf5f318d0bdd3626e4731',
     'cycle': 'c3f5989e09dfbb67cbc52a5ebae295fb3161f6a2b608dff53a025cf24fd11767',
     'betti2-rat': 'b60365001ec19e730e4ef727390d4bc1ba7fa564275c2ad7c455c0a4563531ca',
     # frozen from the window scan before it collapsed memo misses to a core
