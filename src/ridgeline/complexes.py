@@ -419,20 +419,17 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
     return tuple(order) if found else None
 
 
-def is_shellable(cx: SimplicialComplex, budget: int | None = None, *,
-                 allow_nonpure: bool = False) -> Optional[tuple]:
+def is_shellable(cx: SimplicialComplex, budget: int | None = None) -> Optional[tuple]:
     """Search for a shelling order of the facets; None when there is none.
 
     An order works when each facet F_i, measured against every earlier F_j,
     has a vertex v in F_i minus F_j such that F_i minus F_k = {v} for some
-    earlier F_k. Non-pure input is rejected unless ``allow_nonpure`` is set
-    (the same pairwise condition is the general one).
+    earlier F_k. The same pairwise condition defines shellability of pure
+    and non-pure complexes alike (Bjorner-Wachs), so both are searched.
     """
     _check_complex(cx)
     if cx.is_empty:
         raise EmptyInput("empty complex has nothing to shell")
-    if not allow_nonpure and not is_pure(cx):
-        raise NotPure("shelling search is restricted to pure complexes by default")
     order = single_swap_order(cx.facets, budget)
     if order is None:
         return None

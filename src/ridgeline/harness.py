@@ -475,6 +475,7 @@ def _fold_betti2(tabulation, cx, name, diag):
 
 
 def _check_shellable_connected(cx, field, budget):
+    facet_size(cx)
     order = is_shellable(cx, budget)
     if order is None:
         return SKIP, "not shellable; hypothesis unsatisfied"
@@ -592,14 +593,12 @@ def _check_corollary_chain(cx, field, budget):
     except DegenerateComplement:
         checks["complement_chordal"] = None
     ind = independence_complex(cx)
-    checks["independence_shellable"] = (
-        is_shellable(ind, budget, allow_nonpure=True) is not None
-    )
+    checks["independence_shellable"] = is_shellable(ind, budget) is not None
     dual = alexander_dual(cx)
     if dual.is_empty:
         checks["dual_shellable"] = None
     else:
-        checks["dual_shellable"] = is_shellable(dual, budget, allow_nonpure=True) is not None
+        checks["dual_shellable"] = is_shellable(dual, budget) is not None
     ideal = stanley_reisner_ideal(cx)
     checks["sr_linear_quotients"] = has_linear_quotients(ideal, budget) is not None
     checks["sr_linear_resolution"] = has_linear_resolution(ideal, field)

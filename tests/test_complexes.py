@@ -269,14 +269,11 @@ def test_shellable_examples():
     assert rl.is_shellable(rl.from_facets(GAMMA)) is None
     # any set family of single vertices shells in any order
     assert rl.is_shellable(rl.from_facets([[1], [4], [2]])) is not None
-    with pytest.raises(rl.NotPure):
-        rl.is_shellable(rl.from_facets([[1, 2], [3, 4, 5]]))
     # disconnected with a positive-dimensional facet: no order attaches the
     # second piece along codimension one, pure or not
-    assert rl.is_shellable(rl.from_facets([[1, 2], [3, 4, 5]]),
-                           allow_nonpure=True) is None
+    assert rl.is_shellable(rl.from_facets([[1, 2], [3, 4, 5]])) is None
     # nonpure but shellable: the edge hangs off the triangle along a vertex
-    order = rl.is_shellable(rl.from_facets([[1, 2, 3], [3, 4]]), allow_nonpure=True)
+    order = rl.is_shellable(rl.from_facets([[1, 2, 3], [3, 4]]))
     assert order is not None
     from oracles import _shelling_order_ok
 

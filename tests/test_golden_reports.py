@@ -105,7 +105,9 @@ GOLDEN = {
     'c3': '59b78fa87a5beb05726c28fa802643fd89fd9ef99b22b604b9cba3875df28d92',
     'star-free': 'ac05b243e862282ac1d301ec9d87ed72df9ebdaa02f8b8417422a909b3e54914',
     'clique-partition': '5da76afa18918dd3514930ef3795d9f5a3b2b86f91efeac1e8c26bc107f20f6c',
-    'shellable-connected': '7c1df2839a2c006ee80c1d208911c773a644be85ad5b3a4bff1c428d4862260b',
+    # re-frozen when shellable-connected began to take its purity refusal
+    # from facet_size: nonpure.txt's skip reason is now the facet-size one
+    'shellable-connected': '9e56ee1cb54746de1d5c86cf66d614035f9f23fbaefd7a620b8946cb0f8ebbe5',
     # frozen before the degenerate-complement refusal moved to the verify
     # loop: pins the skips of whole.json (degenerate) and nonpure.txt (gate)
     'dual-chordal': 'f884379727e8093bae8c244d530d469a981e5fae15dcf5f318d0bdd3626e4731',
