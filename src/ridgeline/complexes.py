@@ -179,7 +179,7 @@ def complement_complex(cx: SimplicialComplex) -> SimplicialComplex:
     for f in cx.facets:
         comp = tuple(sorted(amb - set(f)))
         if not comp:
-            raise DegenerateComplement(f"facet {f} equals the ambient set")
+            raise DegenerateComplement("a facet equals the ambient set; complement degenerate")
         facets.append(comp)
     # complements of an antichain form an antichain, so no re-maximalization
     return SimplicialComplex(cx.ambient, tuple(sorted(facets)))

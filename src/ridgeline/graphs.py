@@ -119,10 +119,7 @@ def is_connected(g: Graph) -> bool:
 def diameter(g: Graph):
     """Largest pairwise distance; inf when disconnected, 0 when order <= 1."""
     _check_graph(g)
-    if g.order <= 1:
-        return 0
-    if not is_connected(g):
-        return inf
+    full = (1 << g.order) - 1
     best = 0
     for a in range(1, g.order + 1):
         seen = 1 << (a - 1)
@@ -138,6 +135,8 @@ def diameter(g: Graph):
             if frontier:
                 steps += 1
                 seen |= frontier
+        if seen != full:
+            return inf
         best = max(best, steps)
     return best
 

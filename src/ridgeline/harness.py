@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .complexes import (
     SimplicialComplex,
+    _check_cells,
     _check_complex,
     alexander_dual,
     complement_complex,
@@ -163,22 +164,18 @@ def serialize_complex(cx: SimplicialComplex, name: str | None = None) -> bytes:
 # corpus generation
 
 
-DRAW_TABLE_CAP = 1 << 20  # most cells, (d + 1) * n, of a random draw's binomial table
-
-
 def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
     """r distinct d-subsets of {1..n}, uniform without replacement.
 
     Deterministic per seed; the ambient is the full vertex set {1..n}.
     Refuses, before any binomial is computed, a draw whose binomial table
-    would hold more than ``DRAW_TABLE_CAP`` cells.
+    would hold more than 2**MAX_BITS cells.
     """
     for what, value in (("n", n), ("d", d), ("r", r), ("seed", seed)):
         _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters("need 1 <= d <= n")
-    if (d + 1) * n > DRAW_TABLE_CAP:
-        raise BadParameters(f"need (d + 1) * n <= {DRAW_TABLE_CAP} for a random draw")
+    _check_cells((d + 1) * n, "the (d + 1) * n binomial table of a random draw")
     top = comb(n, d)
     if top > sys.maxsize:
         raise BadParameters(f"C({n},{d}) d-subsets are too many to index")
@@ -294,23 +291,8 @@ class VerifyReport:
     tabulation: dict | None
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "corpus": self.corpus,
-            "seed": self.seed,
-            "field": self.field,
-            "instances": self.instances,
-            "trials": self.trials,
-            "confirmations": self.confirmations,
-            "counterexamples": list(self.counterexamples),
-            "skips": list(self.skips),
-            "tabulation": self.tabulation,
-            "wall_time_s": self.wall_time_s,
-        }
-
     def to_json(self) -> str:
-        return _report_text(self.to_dict())
+        return _report_text(vars(self))
 
 
 _INT_ONLY = {int}
@@ -433,11 +415,7 @@ def _check_edge_count(cx, field, budget):
     return CONFIRMED, {"edges": total}
 
 
-_INTERPS = (
-    NtInterpretation.AllSimplexType,
-    NtInterpretation.MaxDisjointSimplexType,
-    NtInterpretation.IsolatedSimplexType,
-)
+_INTERPS = tuple(NtInterpretation)
 
 
 def _check_betti2(cx, field, budget):
@@ -573,11 +551,7 @@ def _check_dual_chordal(cx, field, budget):
     ok, info = _chordal_hypotheses(cx)
     if not ok:
         return SKIP, f"hypothesis unsatisfied: {info}"
-    try:
-        comp = complement_complex(cx)
-    except DegenerateComplement:
-        return SKIP, "a facet equals the ambient set; complement degenerate"
-    if is_chordal_complex(comp, budget):
+    if is_chordal_complex(complement_complex(cx), budget):
         return CONFIRMED, info
     return COUNTEREXAMPLE, {"complement_chordal": False, **info}
 
@@ -769,7 +743,8 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
             status, diag = checker(cx, field, budget)
         except BudgetExceeded as exc:
             status, diag = SKIP, f"budget exceeded: {exc}"
-        except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual) as exc:
+        except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual,
+                DegenerateComplement) as exc:
             status, diag = SKIP, str(exc)
         if status == SKIP:
             skips.append({"document": complex_document(cx, name), "reason": diag})
@@ -815,8 +790,7 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     field = _field(field)
     report: dict = {
         "name": name,
-        "ambient": [int(v) for v in cx.ambient],
-        "facets": [[int(v) for v in f] for f in cx.facets],
+        **complex_document(cx),
         "facet_count": cx.facet_count,
         "dimension": dimension(cx),
         "pure": is_pure(cx),

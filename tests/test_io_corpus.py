@@ -238,13 +238,13 @@ def test_generated_families_refuse_past_the_cell_cap(monkeypatch, make, fits, ov
 
 
 def test_draw_table_cap_is_the_boundary(monkeypatch):
-    from ridgeline import harness
+    from ridgeline import complexes
 
-    monkeypatch.setattr(harness, "DRAW_TABLE_CAP", 40)
-    assert rl.random_pure_complex(20, 1, 3, 0).facet_count == 3
-    assert rl.random_pure_complex(10, 3, 3, 0).facet_count == 3
-    for n, d in ((21, 1), (11, 3), (9, 4)):
-        with pytest.raises(rl.BadParameters, match=r"\(d \+ 1\) \* n <= 40"):
+    monkeypatch.setattr(complexes, "MAX_BITS", 6)
+    assert rl.random_pure_complex(32, 1, 3, 0).facet_count == 3
+    assert rl.random_pure_complex(16, 3, 3, 0).facet_count == 3
+    for n, d in ((33, 1), (17, 3), (13, 4)):
+        with pytest.raises(rl.BadParameters, match=r"\(d \+ 1\) \* n .* more than 2\*\*6 cells"):
             rl.random_pure_complex(n, d, 1, 0)
 
 
