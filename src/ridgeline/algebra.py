@@ -43,6 +43,7 @@ from .complexes import (
     _check_ambient_cap,
     _check_complex,
     _compressed,
+    _face_list,
     _faces_by_cardinality,
     _masks_of,
     as_face,
@@ -94,7 +95,7 @@ def _check_ideal(ideal) -> None:
 
 
 def monomial_ideal(generators, ambient=None) -> MonomialIdeal:
-    gens = sorted(as_face(g) for g in generators)
+    gens = sorted(_face_list(generators))
     support = set()
     for g in gens:
         if not g:
@@ -103,7 +104,7 @@ def monomial_ideal(generators, ambient=None) -> MonomialIdeal:
     for x in range(len(gens)):
         for y in range(len(gens)):
             if x != y and set(gens[x]) <= set(gens[y]):
-                raise BadParameters(f"generators {gens[x]} and {gens[y]} are not an antichain")
+                raise BadParameters("generators are not an antichain")
     if ambient is None:
         amb = tuple(sorted(support))
     else:

@@ -63,6 +63,15 @@ def as_face(vertices: Iterable[int]) -> Face:
     raise BadParameters(f"vertices {shown} are not all positive integers")
 
 
+def _face_list(faces) -> list:
+    """``as_face`` of each face of a face list, which must be iterable."""
+    try:
+        faces = iter(faces)
+    except TypeError:
+        raise BadParameters("expected a family of vertex sets") from None
+    return [as_face(f) for f in faces]
+
+
 def _maximal(faces: Iterable[Face]) -> tuple:
     """Drop duplicate faces and faces contained in another face."""
     uniq = sorted(set(faces), key=len)
@@ -111,7 +120,7 @@ def from_facets(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None = 
     Duplicate and non-maximal faces are dropped. The ambient defaults to the
     union of the faces; if given, it must contain every face.
     """
-    face_list = [as_face(f) for f in faces]
+    face_list = _face_list(faces)
     if not face_list:
         raise EmptyInput("a complex needs at least one face")
     if any(len(f) == 0 for f in face_list):
@@ -125,8 +134,7 @@ def from_facets(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None = 
     else:
         amb = as_face(ambient)
         if not support <= set(amb):
-            extra = sorted(support - set(amb))
-            raise OutOfAmbient(f"vertices {extra} lie outside the ambient set")
+            raise OutOfAmbient("some vertices lie outside the ambient set")
     return SimplicialComplex(amb, facets)
 
 
@@ -163,7 +171,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
         raise EmptyInput("join needs two nonempty complexes")
     overlap = set(a.ambient) & set(b.ambient)
     if overlap:
-        raise OverlappingAmbients(f"ambient sets share vertices {sorted(overlap)}")
+        raise OverlappingAmbients("ambient sets share vertices")
     facets = tuple(sorted(tuple(sorted(f + g)) for f in a.facets for g in b.facets))
     ambient = tuple(sorted(a.ambient + b.ambient))
     return SimplicialComplex(ambient, facets)
@@ -379,7 +387,7 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
         sets = list(sets)
         union = set().union(*sets)
     except TypeError:  # not an iterable of iterables of hashable vertices
-        raise BadParameters(f"expected a family of vertex sets, got {sets!r}") from None
+        raise BadParameters("expected a family of vertex sets") from None
     masks = _masks_of(sets, tuple(union))
     r = len(masks)
     full = (1 << r) - 1

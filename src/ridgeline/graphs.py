@@ -31,7 +31,7 @@ class Graph:
             try:
                 a, b = edge
             except (TypeError, ValueError):
-                raise BadParameters(f"an edge is a pair of vertices, got {edge!r}") from None
+                raise BadParameters("an edge is a pair of vertices") from None
             _check_int(a, "vertex")
             _check_int(b, "vertex")
             if not 1 <= a <= order or not 1 <= b <= order:
@@ -207,7 +207,7 @@ def triangles(g: Graph) -> tuple:
 def _check_int(value, what: str) -> None:
     """Refuse anything but a plain int (a bool is not a count)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise BadParameters(f"{what} must be an integer, got {value!r}")
+        raise BadParameters(f"{what} must be an integer")
 
 
 def _check_graph(g) -> None:

@@ -650,16 +650,16 @@ def _iter_corpus(corpus, seed, budget=None):
     instance rather than the run; a file that cannot be read still raises.
     """
     if not isinstance(corpus, (tuple, list)) or not corpus or not isinstance(corpus[0], str):
-        raise BadParameters(f"a corpus is a tuple that starts with its kind, got {corpus!r}")
+        raise BadParameters("a corpus is a tuple that starts with its kind")
     kind = corpus[0]
     if kind in _CORPUS_FIELDS:
         fields = _CORPUS_FIELDS[kind]
         if len(corpus) != len(fields) + 1:
-            raise BadParameters(f"a {kind} corpus is ({kind!r}, {', '.join(fields)}), got {corpus!r}")
+            raise BadParameters(f"a {kind} corpus is ({kind!r}, {', '.join(fields)})")
         for what, value in zip(fields, corpus[1:]):
             _check_int(value, what)
     elif kind == "files" and (len(corpus) != 2 or not isinstance(corpus[1], (tuple, list))):
-        raise BadParameters(f"a files corpus is ('files', <list of paths>), got {corpus!r}")
+        raise BadParameters("a files corpus is ('files', <list of paths>)")
     if kind == "random":
         _, n, d, r, trials = corpus
         if trials < 0:

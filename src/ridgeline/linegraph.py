@@ -206,7 +206,8 @@ def _nt_reading(cx: SimplicialComplex, interp, budget) -> NtInterpretation:
     try:
         interp = NtInterpretation(interp)
     except ValueError:
-        raise BadParameters(f"unknown Nt interpretation {interp!r}") from None
+        known = ", ".join(i.value for i in NtInterpretation)
+        raise BadParameters(f"unknown Nt interpretation; known: {known}") from None
     search_budget(budget)
     return interp
 

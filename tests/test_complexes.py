@@ -53,6 +53,9 @@ def test_from_facets_errors():
         rl.from_facets([[]])
     with pytest.raises(rl.OutOfAmbient):
         rl.from_facets([[1, 4]], ambient=[1, 2, 3])
+    # a face list that is not iterable, as single_swap_order refuses one
+    with pytest.raises(rl.BadParameters, match="expected a family of vertex sets"):
+        rl.from_facets(5)
     # a bool or a float equal to a good vertex is refused in either order
     for face in ([1, True], [True, 1], [1, 1.0], [1.0, 1]):
         with pytest.raises(rl.BadParameters, match="not all positive integers"):

@@ -33,6 +33,8 @@ def test_monomial_ideal_construction():
         rl.monomial_ideal([[1, 2]], ambient=[1])
     with pytest.raises(rl.EmptyInput):
         rl.monomial_ideal([[]])
+    with pytest.raises(rl.BadParameters, match="expected a family of vertex sets"):
+        rl.monomial_ideal(5)
 
 
 def test_ideal_routes_agree():

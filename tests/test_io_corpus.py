@@ -204,6 +204,16 @@ HUGE = 10 ** 5000  # past the 4300 digits str() of an int allows
     (rl.UnknownVertex, lambda: rl.Graph(3).degree(HUGE)),
     (rl.BadParameters, lambda: rl.Graph(HUGE)),
     (rl.BadParameters, lambda: rl.from_facets([[HUGE, 0]])),
+    (rl.BadParameters, lambda: rl.count_Nt(rl.from_facets([[1, 2]]), HUGE)),
+    (rl.BadParameters, lambda: rl.predicted_beta2(rl.from_facets([[1, 2]]), HUGE)),
+    (rl.BadParameters, lambda: rl.monomial_ideal([[HUGE], [HUGE, 1]])),
+    (rl.OutOfAmbient, lambda: rl.from_facets([[1, HUGE]], [1])),
+    (rl.OverlappingAmbients, lambda: rl.join(rl.from_facets([[HUGE]]), rl.from_facets([[HUGE, 1]]))),
+    (rl.DegenerateComplement, lambda: rl.complement_complex(rl.from_facets([[HUGE]]))),
+    (rl.BadParameters, lambda: rl.single_swap_order(HUGE)),
+    (rl.BadParameters, lambda: rl.verify("deltac", ("random", HUGE))),
+    (rl.BadParameters, lambda: rl.random_pure_complex([HUGE], 2, 2, 0)),
+    (rl.BadParameters, lambda: rl.Graph(3, [(1, 2, HUGE)])),
 ])
 def test_refusals_do_not_format_huge_ints(error, call):
     """A refusal message that formatted the caller's int raised ValueError
