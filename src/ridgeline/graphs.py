@@ -66,15 +66,6 @@ class Graph:
         self._check(v)
         return self.adj[v - 1].bit_count()
 
-    def neighbors(self, v: int) -> tuple:
-        self._check(v)
-        return _bits(self.adj[v - 1])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        self._check(a)
-        self._check(b)
-        return bool(self.adj[a - 1] >> (b - 1) & 1)
-
     def _check(self, v: int) -> None:
         if not 1 <= v <= self.order:
             raise UnknownVertex(f"a vertex leaves the range 1..{self.order}")

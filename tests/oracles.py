@@ -637,7 +637,7 @@ def oracle_realizability_search(g, d, max_vertices, budget=None):
     """The set-based realizability search, kept as the reference for
     ``linegraph.realizability_search``: candidates are sorted vertex tuples
     and each is checked against the chosen facets as Python sets, one
-    ``Graph.has_edge`` call per chosen facet. Returns ``(facets or None,
+    adjacency-row bit test per chosen facet. Returns ``(facets or None,
     steps)``, the facets in vertex order; raises BudgetExceeded at the same
     step as the package's search must."""
     r = g.order
@@ -660,7 +660,7 @@ def oracle_realizability_search(g, d, max_vertices, budget=None):
             inter = len(cs & fj)
             if inter == d:
                 return False  # facets must be distinct
-            if (inter == d - 1) != g.has_edge(i, j):
+            if (inter == d - 1) != bool(g.adj[i - 1] >> (j - 1) & 1):
                 return False
         return True
 

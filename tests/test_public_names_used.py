@@ -1,14 +1,16 @@
 """Every public name of ``ridgeline`` has a use outside its own tests.
 
-A name that ``ridgeline/__init__.py`` imports must be read by another
-definition of the package, by the benchmark (``perfbench/*.py``) or by the
-acceptance tests, or be named in ``README.md``. Code whose only caller is its
-own test is deleted or merged instead of being kept public.
+A name that ``ridgeline/__init__.py`` imports, and each public method and
+property of an exported class, must be read by another definition of the
+package, by the benchmark (``perfbench/*.py``) or by the acceptance tests, or
+be named in ``README.md``. Code whose only caller is its own test is deleted
+or merged instead of being kept public.
 """
 
 import ast
 import re
 from pathlib import Path
+from types import FunctionType
 
 import ridgeline
 
@@ -29,40 +31,84 @@ def _exported() -> set:
             for alias in node.names}
 
 
-def _names_read(source: str) -> set:
-    """Names a module reads outside the definition of the name itself: bare
-    names, attributes of the package (``rl.x``), and string constants, by
-    which the benchmark's span hooks name their targets. A method such as
-    ``", ".join`` is not a read of ``join``."""
+def _members() -> dict:
+    """``{"Class.member": "member"}`` for each public method and property
+    of an exported class."""
+    out = {}
+    for name in _exported():
+        cls = getattr(ridgeline, name)
+        if isinstance(cls, type):
+            for member, value in vars(cls).items():
+                if not member.startswith("_") and isinstance(
+                        value, (FunctionType, property, classmethod, staticmethod)):
+                    out[f"{name}.{member}"] = member
+    return out
+
+
+def _reads(source: str, pick) -> set:
+    """The names ``pick`` finds in the nodes of a module, each outside every
+    definition, at any depth, that bears the name itself."""
     uses = set()
-    for stmt in ast.parse(source).body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in ("rl", "ridgeline")):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
-            else:
-                continue
-            if name != own:
-                uses.add(name)
+
+    def walk(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = pick(node)
+        if name is not None and name not in own:
+            uses.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, own)
+
+    walk(ast.parse(source), frozenset())
     return uses
 
 
-def _unused(exported, sources, readme) -> list:
-    read = set().union(*map(_names_read, sources))
-    return sorted(name for name in exported - ALLOWED - read
-                  if not re.search(rf"\b{re.escape(name)}\b", readme))
+def _name_of(node):
+    """A bare name, an attribute of the package (``rl.x``), or a string
+    constant, by which the benchmark's span hooks name their targets. A
+    method such as ``", ".join`` is not a read of ``join``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("rl", "ridgeline")):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _member_of(node):
+    """An attribute of any object, or the last part of a dotted string
+    constant, as in the span target ``"VerifyReport.to_json"``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    return None
+
+
+def _unused(public, sources, readme, pick=_name_of) -> list:
+    """The keys of ``public``, a dict of reported name to the name its
+    readers use, that no source reads and README does not name."""
+    read = set().union(*(_reads(source, pick) for source in sources))
+    return sorted(key for key, name in public.items()
+                  if key not in ALLOWED and name not in read
+                  and not re.search(rf"\b{re.escape(name)}\b", readme))
+
+
+def _sources() -> list:
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    return [p.read_text() for p in paths]
 
 
 def test_every_public_name_has_a_use_outside_its_tests():
-    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    sources = [p.read_text() for p in paths]
-    assert _unused(_exported(), sources, (ROOT / "README.md").read_text()) == []
+    exported = {name: name for name in _exported()}
+    assert _unused(exported, _sources(), (ROOT / "README.md").read_text()) == []
+
+
+def test_every_public_method_has_a_use_outside_its_tests():
+    assert _unused(_members(), _sources(), (ROOT / "README.md").read_text(), _member_of) == []
 
 
 def test_unused_public_name_is_caught():
@@ -70,6 +116,20 @@ def test_unused_public_name_is_caught():
               "def used():\n    return helper() + rl.attr + ', '.join([])\n\n\n"
               "def helper():\n    return helper()\n\n\n"
               "def lonely():\n    return lonely()\n")
-    public = {"used", "helper", "attr", "hooked", "join", "lonely", "documented"}
+    public = {name: name for name in
+              ("used", "helper", "attr", "hooked", "join", "lonely", "documented")}
     assert _unused(public, [source], "see `documented` and `lonely_hearts`") == [
         "join", "lonely", "used"]
+
+
+def test_unused_public_method_is_caught():
+    source = ("HOOKS = ('Thing.hooked',)\n\n\n"
+              "class Thing:\n"
+              "    def used(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return self.helper()\n\n"
+              "    def lonely(self):\n        return self.lonely()\n\n\n"
+              "def caller(thing):\n    return thing.used()\n")
+    public = {f"Thing.{m}": m for m in ("used", "helper", "hooked", "lonely", "documented")}
+    assert _unused(public, [source], "see `documented`", _member_of) == ["Thing.lonely"]
+    # methods, classmethods and properties of exported classes are all checked
+    assert {"Graph.degree", "Graph.from_adj", "SimplicialComplex.is_empty"} <= set(_members())
