@@ -453,7 +453,7 @@ def _fold_betti2(tabulation, cx, name, diag):
 
 
 def _check_shellable_connected(cx, field, budget):
-    facet_size(cx)
+    facet_size(cx)  # the line graph needs a nonempty pure complex
     order = is_shellable(cx, budget)
     if order is None:
         return SKIP, "not shellable; hypothesis unsatisfied"
