@@ -159,8 +159,9 @@ def test_realizability_search_finds_every_line_graph_of_a_graph():
 
 def test_unknown_nt_interpretation_is_typed():
     cx = rl.from_facets(BD3)
+    known = "known: all, max_disjoint, isolated"
     for query in (rl.count_Nt, rl.predicted_beta2):
-        with pytest.raises(rl.BadParameters, match="unknown Nt interpretation; known: all, max_disjoint, isolated"):
+        with pytest.raises(rl.BadParameters, match=f"unknown Nt interpretation; {known}"):
             query(cx, "bogus")
 
 
