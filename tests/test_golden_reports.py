@@ -86,6 +86,7 @@ ANALYZED = {
     "edges": ([[1, 2], [2, 3], [1, 3], [3, 4], [4, 5]], range(1, 7)),
     "sparse": ([[1, 7, 10 ** 6], [1, 7, 3], [1, 3, 10 ** 6], [7, 3, 10 ** 6], [3, 9, 40]], None),
     "nonpure": ([[1, 2, 3], [3, 4]], None),
+    "simplex": ([[1, 2, 3]], None),
 }
 
 # twelve facets, so that the "facet_of" keys "10" to "12" of the linegraph
@@ -141,6 +142,9 @@ GOLDEN = {
     'analyze-json-edges': 'a74474cf6a65f5d34b35ab6a3dfa385f915f6c4c5e9b2c3da5af0099eebeac68',
     'analyze-json-sparse': '582853f473100393dd9d1f8676f8b26af21131045b72e1906f0ed3412ca707a7',
     'analyze-json-nonpure': 'd57be185e930903b1c60311c8f819d6bd969aaf430764ce88152d3491480389d',
+    # the full simplex, whose Cohen-Macaulay test is refused with a note
+    'analyze-simplex': '9694f3cf51403c017317f464dd790a1491195c645ecd6e6fd14c350b6a40aa3c',
+    'analyze-json-simplex': '8ea6ff53a52f54dd37e124dcc1474f9358b6accc526d4afa5544e24843966704',
     'linegraph-12': '88af3175ff8b6dfbf661cdac33d9c6bf8a93ef248eee9ac7c23056281384ab39',
 }
 
