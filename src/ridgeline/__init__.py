@@ -44,7 +44,6 @@ from .errors import (
     Budget,
     BudgetExceeded,
     DegenerateComplement,
-    DegenerateDual,
     DimensionTooSmall,
     EmptyInput,
     NotPure,

@@ -47,6 +47,7 @@ from .complexes import (
     _faces_by_cardinality,
     _masks_of,
     as_face,
+    complement_complex,
     dimension,
     facet_indicator,
     minimal_nonfaces,
@@ -55,7 +56,6 @@ from .complexes import (
 )
 from .errors import (
     BadParameters,
-    DegenerateDual,
     EmptyInput,
     RidgelineError,
 )
@@ -444,15 +444,11 @@ def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
 
 def is_cohen_macaulay(cx: SimplicialComplex, field=FieldChoice.GF2) -> bool:
     """Dual criterion (Eagon-Reiner): Cohen-Macaulay exactly when the
-    Stanley-Reisner ideal of the Alexander dual, which the complements of
-    the facets generate, has a linear resolution."""
-    _check_complex(cx)
-    if cx.is_empty:
-        raise EmptyInput("empty complex has no dual here; it would be the full simplex")
-    gens = sorted(tuple(v for v in cx.ambient if v not in f) for f in cx.facets)
-    if not gens[0]:
-        raise DegenerateDual("the full simplex has a void dual; nothing to test")
-    return has_linear_resolution(MonomialIdeal(cx.ambient, tuple(gens)), field)
+    Stanley-Reisner ideal of the Alexander dual has a linear resolution.
+    That ideal is generated by the complements of the facets, so it is the
+    facet ideal of the complement complex, which refuses the empty complex
+    and a facet equal to the ambient set."""
+    return has_linear_resolution(facet_ideal(complement_complex(cx)), field)
 
 
 def froberg_check(g: Graph, field=FieldChoice.GF2) -> dict:

@@ -3,7 +3,7 @@
 Subcommands: analyze, linegraph, betti, verify, generate. Exit codes: 0 for
 success (verify: everything confirmed), 10 when verify found counterexamples,
 2 for usage or input errors, 3 when the search budget ran out. The budget
-comes from --budget when given, else the FRL_BUDGET environment variable.
+comes from --budget when given, else the package default.
 """
 
 from __future__ import annotations

@@ -5,16 +5,12 @@ callers can catch one type. Search-shaped operations (shelling and linear
 quotients, the chordality minor chase, clique partitions, induced stars, the
 max-disjoint triangle count, realizability) count the states they expand
 against a budget and raise BudgetExceeded instead of running away. The budget
-resolves, in order: explicit argument, the FRL_BUDGET environment variable,
-the package default.
+is the caller's argument, else DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_BUDGET = 1_000_000
-BUDGET_ENV_VAR = "FRL_BUDGET"
 
 
 class RidgelineError(Exception):
@@ -35,10 +31,6 @@ class OverlappingAmbients(RidgelineError):
 
 class DegenerateComplement(RidgelineError):
     """Complementing a facet equal to the ambient would create an empty facet."""
-
-
-class DegenerateDual(RidgelineError):
-    """The dual complex carries no faces, so the requested reduction is undefined."""
 
 
 class UnknownVertex(RidgelineError):
@@ -75,15 +67,6 @@ def search_budget(override: int | None = None) -> int:
         if isinstance(override, bool) or not isinstance(override, int) or override <= 0:
             raise BadParameters("budget must be a positive integer")
         return override
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BadParameters(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-        if value <= 0:
-            raise BadParameters(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-        return value
     return DEFAULT_BUDGET
 
 

@@ -50,7 +50,6 @@ from .errors import (
     BadParameters,
     BudgetExceeded,
     DegenerateComplement,
-    DegenerateDual,
     DimensionTooSmall,
     EmptyInput,
     NotPure,
@@ -378,7 +377,7 @@ def _check_deltac(cx, field, budget):
     d, masks, rows = _ridge_adjacency(cx)
     full = (1 << len(cx.ambient)) - 1
     if full in masks:
-        return SKIP, "a facet equals the ambient set; complement degenerate"
+        complement_complex(cx)  # refuses the degenerate complement; verify skips
     # complement facet i is full ^ masks[i], so both sides share one facet order
     crows = _ridge_rows([full ^ m for m in masks], len(cx.ambient) - d - 1)
     mismatch = _first_row_mismatch(rows, crows)
@@ -743,8 +742,7 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
             status, diag = checker(cx, field, budget)
         except BudgetExceeded as exc:
             status, diag = SKIP, f"budget exceeded: {exc}"
-        except (NotPure, EmptyInput, DimensionTooSmall, DegenerateDual,
-                DegenerateComplement) as exc:
+        except (NotPure, EmptyInput, DimensionTooSmall, DegenerateComplement) as exc:
             status, diag = SKIP, str(exc)
         if status == SKIP:
             skips.append({"document": complex_document(cx, name), "reason": diag})
@@ -853,7 +851,7 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
         report["shelling_order"] = None if shelling is None else [list(f) for f in shelling]
     try:
         report["cohen_macaulay"] = is_cohen_macaulay(cx, field)
-    except DegenerateDual as exc:
+    except DegenerateComplement as exc:
         report["cohen_macaulay"] = None
         report["cohen_macaulay_note"] = str(exc)
     if d == 2:

@@ -336,10 +336,3 @@ def test_cli_generate_round_trip(tmp_path, capsys):
         assert cx == rl.random_pure_complex(6, 3, 4, 9 * 1_000_003 + k)
         assert name == f"random-6-3-4-seed{9 * 1_000_003 + k}"
 
-
-def test_budget_env_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRL_BUDGET", "100")
-    code = main(["verify", "--theorem", "deltac", "--exhaustive", "6,3,5"])
-    assert code == 3
-    capsys.readouterr()
-    monkeypatch.delenv("FRL_BUDGET")
