@@ -712,8 +712,9 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
     exhaustion becomes a skip; budget exhaustion of the corpus enumeration
     itself propagates.
     """
-    if theorem not in THEOREMS:
-        raise UnknownTheorem(f"no theorem {theorem!r}; known: {', '.join(sorted(THEOREMS))}")
+    if not isinstance(theorem, str) or theorem not in THEOREMS:
+        named = repr(theorem) if isinstance(theorem, str) else f"of type {type(theorem).__name__}"
+        raise UnknownTheorem(f"no theorem {named}; known: {', '.join(sorted(THEOREMS))}")
     _check_int(seed, "seed")
     if budget is not None:
         search_budget(budget)

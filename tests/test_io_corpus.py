@@ -214,6 +214,8 @@ HUGE = 10 ** 5000  # past the 4300 digits str() of an int allows
     (rl.BadParameters, lambda: rl.verify("deltac", ("random", HUGE))),
     (rl.BadParameters, lambda: rl.random_pure_complex([HUGE], 2, 2, 0)),
     (rl.BadParameters, lambda: rl.Graph(3, [(1, 2, HUGE)])),
+    (rl.UnknownTheorem, lambda: rl.verify(HUGE, ("random", 5, 2, 2, 1))),
+    (rl.UnknownTheorem, lambda: rl.verify([1], ("random", 5, 2, 2, 1))),
 ])
 def test_refusals_do_not_format_huge_ints(error, call):
     """A refusal message that formatted the caller's int raised ValueError

@@ -25,7 +25,7 @@ def test_report_bookkeeping_invariant():
 
 
 def test_unknown_theorem_and_missing_corpus():
-    with pytest.raises(rl.UnknownTheorem):
+    with pytest.raises(rl.UnknownTheorem, match="no theorem 'nope'; known: betti2, "):
         verify("nope", ("exhaustive", 4, 2, 2))
     with pytest.raises(rl.BadParameters):
         verify("deltac", None)
