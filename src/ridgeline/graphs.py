@@ -67,6 +67,7 @@ class Graph:
         return self.adj[v - 1].bit_count()
 
     def _check(self, v: int) -> None:
+        _check_int(v, "vertex")
         if not 1 <= v <= self.order:
             raise UnknownVertex(f"a vertex leaves the range 1..{self.order}")
 

@@ -187,6 +187,9 @@ def test_graph_refuses_bad_input_typed():
     for edge in ((1, 2, 3), (1,), 5, None, ()):
         with pytest.raises(rl.BadParameters, match="an edge is a pair of vertices"):
             rl.Graph(3, [edge])
+    for v in ("x", 1.0, True):
+        with pytest.raises(rl.BadParameters, match="vertex must be an integer"):
+            rl.Graph(3).degree(v)
     with pytest.raises(rl.UnknownVertex):
         rl.Graph(3, [(1, 4)])
     with pytest.raises(rl.BadParameters, match="loop"):
