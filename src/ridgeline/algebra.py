@@ -46,6 +46,7 @@ from .complexes import (
     _face_list,
     _faces_by_cardinality,
     _masks_of,
+    _maximal,
     as_face,
     complement_complex,
     dimension,
@@ -101,10 +102,8 @@ def monomial_ideal(generators, ambient=None) -> MonomialIdeal:
         if not g:
             raise EmptyInput("an empty support means the unit ideal; not representable here")
         support.update(g)
-    for x in range(len(gens)):
-        for y in range(len(gens)):
-            if x != y and set(gens[x]) <= set(gens[y]):
-                raise BadParameters("generators are not an antichain")
+    if len(_maximal(gens)) != len(gens):
+        raise BadParameters("generators are not an antichain")
     if ambient is None:
         amb = tuple(sorted(support))
     else:
@@ -198,17 +197,20 @@ def _rational_ranks(face: bytearray, n: int):
 
 
 def _homology_from_ranks(fvec, ranks, top: int):
-    """Reduced homology ranks in dimensions -1..top from kernel output."""
+    """Reduced homology ranks in dimensions -1..top from kernel output.
+
+    A negative rank is refused. There is no Euler check: summed over p with
+    sign (-1)^p, the rank terms telescope, and the face sum minus the
+    homology sum is -ranks[0] + (-1)^top * ranks[top + 2]. No kernel writes
+    ranks[0], and no face lives in layer top + 2, so both are zero and the
+    sums agree whatever ranks a kernel returns.
+    """
     out = []
     for p in range(-1, top + 1):
         h = fvec[p + 1] - ranks[p + 1] - ranks[p + 2]
         if h < 0:
             raise RidgelineError("negative homology rank: kernel inconsistency")
         out.append(h)
-    euler_faces = sum((-1) ** p * fvec[p + 1] for p in range(-1, top + 1))
-    euler_hom = sum((-1) ** p * out[p + 1] for p in range(-1, top + 1))
-    if euler_faces != euler_hom:
-        raise RidgelineError("Euler characteristic mismatch: kernel inconsistency")
     return out
 
 
@@ -253,8 +255,9 @@ def _strong_core(key: tuple, j: int):
 
     ``key`` is a window's memo key: sorted generator masks covering bits
     0..j-1. The link of bit b is the set of ``g ^ b`` over the generators g
-    through b. An empty link, at the start or after a drop, makes b a cone
-    point, and the answer is None: the complex is contractible. While some vertex u has
+    through b; as the key covers every bit, no link starts empty. An empty
+    link after a drop makes b a cone point, and the answer is None: the
+    complex is contractible. While some vertex u has
     ``link(u) <= link(v)`` for a vertex v != u, v is dropped with the
     generators through v. Every face σ with v in σ and u not in σ then has
     σ ∪ u a face (a generator g inside σ ∪ u would put the generator
@@ -268,10 +271,7 @@ def _strong_core(key: tuple, j: int):
     links = {}
     for b in range(j):
         bit = 1 << b
-        link = {g ^ bit for g in key if g & bit}
-        if not link:
-            return None
-        links[bit] = link
+        links[bit] = {g ^ bit for g in key if g & bit}
     gens = key
     alive = (1 << j) - 1
     while True:
@@ -432,8 +432,6 @@ def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
     """
     _check_ideal(ideal)
     gens = ideal.generators
-    if not gens:
-        return ()
     universe = set(ideal.ambient)
     comps = [universe - set(g) for g in gens]
     order = single_swap_order(comps, budget)

@@ -75,9 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vf = sub.add_parser("verify", help="run one statement over a corpus")
     p_vf.add_argument("--theorem", required=True)
-    p_vf.add_argument("--random", type=_ints(4, "--random"), metavar="n,d,r,trials")
-    p_vf.add_argument("--exhaustive", type=_ints(3, "--exhaustive"), metavar="n,d,rmax")
-    p_vf.add_argument("--files", nargs="+", metavar="FILE")
+    source = p_vf.add_mutually_exclusive_group()
+    source.add_argument("--random", type=_ints(4, "--random"), metavar="n,d,r,trials")
+    source.add_argument("--exhaustive", type=_ints(3, "--exhaustive"), metavar="n,d,rmax")
+    source.add_argument("--files", nargs="+", metavar="FILE")
     p_vf.add_argument("--seed", type=int, default=0)
     p_vf.add_argument("--field", choices=["gf2", "rat"], default="gf2")
     p_vf.add_argument("--out", help="write the JSON report to this path")
@@ -137,9 +138,6 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    chosen = [c for c in (args.random, args.exhaustive, args.files) if c]
-    if len(chosen) > 1:
-        raise RidgelineError("give at most one of --random, --exhaustive, --files")
     corpus = None
     if args.random:
         n, d, r, trials = args.random
@@ -194,10 +192,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except RidgelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RidgelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,13 +63,10 @@ class Graph:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def degree(self, v: int) -> int:
-        self._check(v)
-        return self.adj[v - 1].bit_count()
-
-    def _check(self, v: int) -> None:
         _check_int(v, "vertex")
         if not 1 <= v <= self.order:
             raise UnknownVertex(f"a vertex leaves the range 1..{self.order}")
+        return self.adj[v - 1].bit_count()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
@@ -90,46 +87,39 @@ def _bits(mask: int) -> tuple:
     return tuple(out)
 
 
-def is_connected(g: Graph) -> bool:
-    """Connectivity; the empty graph and one-vertex graph count as connected."""
-    _check_graph(g)
-    if g.order <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
+def _eccentricity(adj: tuple, start: int):
+    """Breadth-first layers from vertex ``start`` (0-based) to the farthest
+    vertex it reaches; inf when some vertex is never reached."""
+    seen = frontier = 1 << start
+    layers = 0
+    while True:
         nxt = 0
         while frontier:
             low = frontier & -frontier
-            nxt |= g.adj[low.bit_length() - 1]
+            nxt |= adj[low.bit_length() - 1]
             frontier ^= low
         frontier = nxt & ~seen
+        if not frontier:
+            return layers if seen == (1 << len(adj)) - 1 else inf
+        layers += 1
         seen |= frontier
-    return seen == (1 << g.order) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    """Connectivity; the empty graph and one-vertex graph count as connected."""
+    _check_graph(g)
+    return g.order <= 1 or _eccentricity(g.adj, 0) != inf
 
 
 def diameter(g: Graph):
     """Largest pairwise distance; inf when disconnected, 0 when order <= 1."""
     _check_graph(g)
-    full = (1 << g.order) - 1
     best = 0
-    for a in range(1, g.order + 1):
-        seen = 1 << (a - 1)
-        frontier = seen
-        steps = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= g.adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            if frontier:
-                steps += 1
-                seen |= frontier
-        if seen != full:
+    for start in range(g.order):
+        ecc = _eccentricity(g.adj, start)
+        if ecc == inf:
             return inf
-        best = max(best, steps)
+        best = max(best, ecc)
     return best
 
 
@@ -230,8 +220,6 @@ def has_induced_star(g: Graph, leaves: int, budget: int | None = None) -> bool:
     """
     _check_graph(g)
     _check_count(leaves, "leaf count")
-    if leaves == 0:
-        return g.order > 0
     adj = g.adj
     b = Budget(budget)
 
@@ -287,8 +275,6 @@ def clique_edge_partition(g: Graph, max_per_vertex: int,
     _check_count(max_per_vertex, "per-vertex clique cap")
     cap = max_per_vertex
     rest = list(g.adj)
-    if not any(rest):
-        return ()
     b = Budget(budget)
     counts = [0] * (g.order + 1)
     chosen: list = []

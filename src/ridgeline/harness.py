@@ -695,9 +695,7 @@ def _corpus_label(corpus) -> str:
     if kind == "exhaustive":
         _, n, d, r_max = corpus
         return f"exhaustive(n={n},d={d},r_max={r_max})"
-    if kind == "files":
-        return f"files({len(corpus[1])})"
-    return str(corpus)
+    return f"files({len(corpus[1])})"
 
 
 def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
@@ -716,8 +714,7 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
         named = repr(theorem) if isinstance(theorem, str) else f"of type {type(theorem).__name__}"
         raise UnknownTheorem(f"no theorem {named}; known: {', '.join(sorted(THEOREMS))}")
     _check_int(seed, "seed")
-    if budget is not None:
-        search_budget(budget)
+    search_budget(budget)
     field = _field(field)
     grid = _GRIDS.get(theorem)
     if grid is not None and corpus is not None:
@@ -757,7 +754,7 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
                                     "diagnostic": diag})
 
     elapsed = 0.0 if stable_time else round(time.perf_counter() - start, 3)
-    report = VerifyReport(
+    return VerifyReport(
         theorem=theorem,
         corpus=_corpus_label(corpus),
         seed=seed,
@@ -770,9 +767,6 @@ def verify(theorem: str, corpus=None, seed: int = 0, field=FieldChoice.GF2,
         tabulation=tabulation,
         wall_time_s=elapsed,
     )
-    if report.confirmations + len(report.counterexamples) != report.trials:
-        raise RidgelineError("verify bookkeeping out of balance")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +781,7 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     facets are edges."""
     _check_complex(cx)
     field = _field(field)
+    search_budget(budget)
     report: dict = {
         "name": name,
         **complex_document(cx),

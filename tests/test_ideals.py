@@ -1,7 +1,9 @@
 """Monomial ideals, Betti tables, resolutions, quotients, CM, Froberg."""
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -177,8 +179,20 @@ def _cover_rule_sizes(gens) -> Counter:
     return sizes
 
 
-def test_scan_visits_exactly_the_lcm_lattice():
+def test_scan_visits_exactly_the_lcm_lattice(monkeypatch):
     scan, gf2 = algebra._hochster_scan, rl.FieldChoice.GF2
+    # every memo key the scan builds, a window's or a core's, covers all the
+    # bits of its window, so no link in _strong_core starts empty
+    keys = []
+    compressed = algebra._compressed
+
+    def spy(masks, window):
+        key = tuple(compressed(masks, window))
+        keys.append((key, window.bit_count()))
+        return key
+
+    monkeypatch.setattr(algebra, "_compressed", spy)
+    clear_window_memos()  # so the cores are built too
     for family in antichains(range(1, 6)):
         if () in family:  # the unit ideal
             continue
@@ -187,6 +201,9 @@ def test_scan_visits_exactly_the_lcm_lattice():
         assert Counter(j for j, _ in scan(I, gf2)) == want, family
         for j in range(0, 7):
             assert sum(1 for _ in scan(I, gf2, j)) == want[j], (family, j)
+    assert keys
+    for key, j in keys:
+        assert reduce(or_, key, 0) == (1 << j) - 1, (key, j)
 
 
 def test_tables_match_lcm_lattice_oracle_exhaustive_n4():

@@ -218,9 +218,13 @@ def test_cli_usage_and_budget_errors(tmp_path, capsys):
                  "--budget", "100"])
     assert code == 3
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--theorem", "deltac", "--random", "bad"])
-    assert exc.value.code == 2
+    # a malformed corpus flag, and two corpus flags together, are usage errors
+    rnd, exh, files = ["--random", "5,2,3,1"], ["--exhaustive", "4,2,2"], ["--files", "a.json"]
+    for flags in (["--random", "bad"], rnd + exh, exh + files, files + rnd):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "deltac", *flags])
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.count("not allowed with") == 3
     out = tmp_path / "cycle.json"
     assert main(["verify", "--theorem", "cycle", "--random", "5,2,3,1",
                  "--out", str(out)]) == 2
