@@ -6,14 +6,15 @@ dimension |W|-i-1 of the restriction to W of the complex whose non-faces are
 the sets containing a generator of I. Only a W that is a union of
 generators (an element of the lcm lattice) can contribute, as any other W
 has a cone point; so one scan, which walks that lattice alone, serves the
-whole table and single degrees. Ranks come from
-boundary-matrix ranks, over GF(2) through the bit-row elimination in
-``kernels`` and over the rationals through exact fraction-free integer
-elimination.
+whole table and single degrees. Ranks come from boundary-matrix ranks, over
+GF(2) in ``kernels`` and over the rationals here, by one elimination: each
+boundary row is reduced against a basis keyed by leading column, and the
+rank is the size of the basis. The fields differ only in the row
+arithmetic, XOR on bit rows for GF(2) and exact integer combination of
+sparse rows for the rationals.
 
 The subset walks themselves (face indicators, grouping faces by
-cardinality, the vertex cap) come from ``complexes``; the two fields differ
-only in the elimination step.
+cardinality, the vertex cap) come from ``complexes``.
 
 A window's homology depends only on the restriction of the ideal to it, and
 restrictions repeat across the windows of one ideal and across the ideals of
@@ -136,54 +137,20 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
     return MonomialIdeal(tuple(range(1, g.order + 1)), tuple(sorted(g.edges())))
 
 
-def _int_rank(rows, ncols: int) -> int:
-    """Rank of an integer matrix, by fraction-free elimination with row-gcd
-    normalization to keep entries small."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        pv = pr[col]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            v = ri[col]
-            if v:
-                for c in range(col, ncols):
-                    ri[c] = ri[c] * pv - pr[c] * v
-                g = 0
-                for x in ri:
-                    g = gcd(g, x)
-                if g > 1:
-                    for c in range(ncols):
-                        ri[c] //= g
-        rank += 1
-        col += 1
-    return rank
-
-
 def _rational_ranks(face: bytearray, n: int):
-    """Same contract as the GF(2) kernels, but over the rationals: f-vector
-    and boundary ranks (vertices map to the empty face with sign +1)."""
+    """Same contract and elimination as the GF(2) kernel, over the rationals.
+
+    A boundary row is a sparse ``{column: coefficient}`` dict (vertices map to
+    the empty face with sign +1). It is reduced against the basis row at its
+    leading column by ``row * b[lead] - b * row[lead]``, with the row's gcd
+    divided out after each step, until it is zero or takes a free lead.
+    """
     by_card, colidx, fvec = _faces_by_cardinality(face, n)
     ranks = [0] * (n + 2)
     for p in range(1, n + 1):
-        if not by_card[p]:
-            continue
-        ncols = len(by_card[p - 1])
-        rows = []
+        basis = {}
         for m in by_card[p]:
-            row = [0] * ncols
+            row = {}
             sign = 1
             mm = m
             while mm:
@@ -191,8 +158,19 @@ def _rational_ranks(face: bytearray, n: int):
                 mm ^= low
                 row[colidx[m ^ low]] = sign
                 sign = -sign
-            rows.append(row)
-        ranks[p] = _int_rank(rows, ncols)
+            while row:
+                lead = max(row)
+                b = basis.get(lead)
+                if b is None:
+                    basis[lead] = row
+                    break
+                x, y = b[lead], row[lead]
+                row = {c: v for c in row.keys() | b.keys()
+                       if (v := row.get(c, 0) * x - b.get(c, 0) * y)}
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+        ranks[p] = len(basis)
     return fvec, ranks
 
 

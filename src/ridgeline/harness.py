@@ -237,7 +237,8 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
     Canonical order: facet count ascending, then lexicographic on the sorted
     facet tuples. The ambient of each complex is its own support. The total
     count must fit the search budget up front; it is summed term by term,
-    and the summing stops as soon as the budget is passed.
+    and the summing stops as soon as the budget is passed. Every refusal is
+    raised at the call; the complexes come from the returned generator.
     """
     for what, value in (("n", n), ("d", d), ("r_max", r_max)):
         _check_int(value, what)
@@ -258,11 +259,9 @@ def enumerate_pure_complexes(n: int, d: int, r_max: int, budget: int | None = No
                 f"more than {limit} complexes exceed the budget; raise it to enumerate"
             )
     pool = list(combinations(range(1, n + 1), d))
-    for r in range(1, min(r_max, top) + 1):
-        for family in combinations(pool, r):
-            # distinct d-subsets drawn in pool order form a sorted antichain
-            support = tuple(sorted({v for f in family for v in f}))
-            yield SimplicialComplex(support, family)
+    # distinct d-subsets drawn in pool order form a sorted antichain
+    return (SimplicialComplex(tuple(sorted({v for f in family for v in f})), family)
+            for r in range(1, min(r_max, top) + 1) for family in combinations(pool, r))
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +656,12 @@ def _iter_corpus(corpus, seed, budget=None):
             raise BadParameters(f"a {kind} corpus is ({kind!r}, {', '.join(fields)})")
         for what, value in zip(fields, corpus[1:]):
             _check_int(value, what)
-    elif kind == "files" and (len(corpus) != 2 or not isinstance(corpus[1], (tuple, list))):
-        raise BadParameters("a files corpus is ('files', <list of paths>)")
+    elif kind == "files":
+        if len(corpus) != 2 or not isinstance(corpus[1], (tuple, list)):
+            raise BadParameters("a files corpus is ('files', <list of paths>)")
+        # an int would be opened as a file descriptor, read and closed
+        if not all(isinstance(p, (str, bytes)) or hasattr(p, "__fspath__") for p in corpus[1]):
+            raise BadParameters("a files corpus path must be a str, bytes or os.PathLike")
     if kind == "random":
         _, n, d, r, trials = corpus
         if trials < 0:

@@ -8,8 +8,10 @@ faces. The p = 1 map sends vertices to the empty face, so downstream
 homology is automatically reduced. Both lists have length n + 2.
 
 The face-indicator builders and the grouping of faces by cardinality live in
-``complexes`` and are shared with the rational rank routine in ``algebra``,
-so the two coefficient fields differ only in the elimination step.
+``complexes`` and are shared with the rational rank routine in ``algebra``.
+Both fields reduce each boundary row against a basis keyed by leading
+column and differ only in the row arithmetic: XOR on int bit rows here,
+integer combination of sparse rows there.
 
 This pure-Python module is the only GF(2) kernel. It keeps the name
 ``kernels`` and its two entry points because the benchmark's per-layer spans

@@ -175,13 +175,9 @@ def _triangle_census(d: int, masks: list, rows: tuple) -> tuple:
     """``classify_triangles`` on the output of ``_ridge_adjacency``."""
     out = []
     for i, j, k in triangles(Graph.from_adj(rows)):
+        # two ridges of one facet share at least (d-1) + (d-1) - d = d-2 vertices
         common = (masks[i - 1] & masks[j - 1] & masks[k - 1]).bit_count()
-        if common == d - 1:
-            kind = TriangleType.RidgeShared
-        elif common == d - 2:
-            kind = TriangleType.SimplexType
-        else:  # unreachable: pairwise ridge intersections force d-1 or d-2
-            raise RidgelineError(f"triangle {(i, j, k)} has triple intersection of size {common}")
+        kind = TriangleType.RidgeShared if common == d - 1 else TriangleType.SimplexType
         out.append(((i, j, k), kind))
     return tuple(out)
 

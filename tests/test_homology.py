@@ -162,6 +162,35 @@ def test_kernel_contract_extremes():
     # the widest facet route allocates 2**20 indicator bytes
     assert kernels.ranks_of_facet_complex([0b111 << 17], 20) == (
         [1, 3, 3, 1] + [0] * 18, [0, 1, 2, 1] + [0] * 18)
+    # the rational routine keeps the same contract at the same extremes
+    assert _rational_ranks(facet_indicator([0], 0), 0) == ([1, 0], [0, 0])
+    assert _rational_ranks(*nonface_indicator([], 0)) == ([1, 0], [0, 0])
+    assert _rational_ranks(facet_indicator([], 0), 0) == ([0, 0], [0, 0])
+    assert _rational_ranks(facet_indicator([], 3), 3) == ([0] * 5, [0] * 5)
+    assert _rational_ranks(facet_indicator([0b111 << 17], 20), 20) == (
+        [1, 3, 3, 1] + [0] * 18, [0, 1, 2, 1] + [0] * 18)
+
+
+def test_rational_ranks_match_oracle_past_the_property_range():
+    """Seeded complexes on 9 to 11 vertices, past the n <= 8 of the property
+    test, through both rational routes; the join of the projective plane
+    with a circle keeps its 2-torsion on nine vertices, so the fields differ."""
+    import random
+
+    rng = random.Random(26)
+    for k in range(6):
+        n = rng.randint(9, 11)
+        d, r = rng.randint(4, 6), rng.randint(6, 12)
+        cx = rl.random_pure_complex(n, d, r, rng.randrange(10 ** 6))
+        assert rl.reduced_homology_ranks(cx, "rational") == oracle_homology(cx.facets, "rat")
+        if k < 2:  # an independence complex on ten vertices is already slow for the oracle
+            masks = _masks(cx.facets, n)
+            facets = oracle_independence_complex(cx.facets, range(1, n + 1))
+            got = _homology(*_rational_ranks(*nonface_indicator(masks, (1 << n) - 1)))
+            assert got == oracle_homology(facets, "rat")
+    joined = rl.join(rl.from_facets(RP2), rl.from_facets([(7, 8), (7, 9), (8, 9)]))
+    assert rl.reduced_homology_ranks(joined, "rational") == oracle_homology(joined.facets, "rat")
+    assert rl.reduced_homology_ranks(joined, "rational") != rl.reduced_homology_ranks(joined)
 
 
 @pytest.mark.parametrize("entry, args", [

@@ -47,6 +47,12 @@ def test_parse_errors():
         rl.parse_document('{"facets": [[1' + "0" * 5000 + "]]}")
     with pytest.raises(rl.EmptyInput):
         rl.parse_document("# nothing here\n")
+    with pytest.raises(rl.ParseError, match="not UTF-8"):
+        rl.parse_document(b"1 2\n\xff 3\n")
+    with pytest.raises(rl.ParseError, match='"name" must be a string'):
+        rl.parse_document('{"name": 3, "facets": [[1, 2]]}')
+    with pytest.raises(rl.ParseError, match='needs a "facets" list'):
+        rl.parse_document('{"ambient": [1, 2]}')
 
 
 def test_serialize_round_trip_preserves_ambient():
@@ -169,6 +175,10 @@ def test_corpus_parameters_must_be_integers():
         rl.random_pure_complex(3, 0, 1, 1)
     with pytest.raises(rl.BadParameters, match="trial count must be nonnegative"):
         rl.verify("edge-count", ("random", 8, 3, 5, -1))
+    with pytest.raises(rl.BadParameters, match="r_max must be at least 1"):
+        rl.enumerate_pure_complexes(4, 2, 0)
+    with pytest.raises(rl.BadParameters, match="unknown corpus kind"):
+        rl.verify("edge-count", ("orbits", 4, 2, 2))
 
 
 @pytest.mark.parametrize("error, call", [
@@ -261,8 +271,9 @@ def test_draw_table_cap_is_the_boundary(monkeypatch):
 
 
 def test_enumerate_budget():
+    # the up-front count refuses at the call, not at the first next()
     with pytest.raises(rl.BudgetExceeded):
-        list(rl.enumerate_pure_complexes(6, 3, 5, budget=100))
+        rl.enumerate_pure_complexes(6, 3, 5, budget=100)
 
 
 def test_d3_corpus_size(d3_corpus):

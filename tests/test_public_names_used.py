@@ -5,6 +5,9 @@ property of an exported class, must be read by another definition of the
 package, by the benchmark (``perfbench/*.py``) or by the acceptance tests, or
 be named in ``README.md``. Code whose only caller is its own test is deleted
 or merged instead of being kept public.
+
+A private helper (a top-level ``_name`` of a package module) must be read by
+a package module or by the benchmark; a reader in the tests does not count.
 """
 
 import ast
@@ -87,6 +90,31 @@ def _member_of(node):
     return None
 
 
+def _private_of(node):
+    """A loaded name or attribute of any object, or the last part of a
+    dotted string constant, as in the span target ``"_rational_ranks"``.
+    The target of an assignment is not a read."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return _member_of(node) if isinstance(node, ast.Constant) else None
+
+
+def _private_definitions(source: str) -> set:
+    """The top-level functions, classes and assigned names of a module whose
+    names start with one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
 def _unused(public, sources, readme, pick=_name_of) -> list:
     """The keys of ``public``, a dict of reported name to the name its
     readers use, that no source reads and README does not name."""
@@ -133,3 +161,23 @@ def test_unused_public_method_is_caught():
     assert _unused(public, [source], "see `documented`", _member_of) == ["Thing.lonely"]
     # methods, classmethods and properties of exported classes are all checked
     assert {"Graph.degree", "Graph.from_adj", "SimplicialComplex.is_empty"} <= set(_members())
+
+
+def test_every_private_helper_has_a_reader_outside_the_tests():
+    modules = sorted(SRC.glob("*.py"))
+    private = {f"{path.stem}.{name}": name
+               for path in modules for name in _private_definitions(path.read_text())}
+    readers = [p.read_text() for p in modules + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unused(private, readers, "", _private_of) == []
+
+
+def test_unread_private_helper_is_caught():
+    source = ("HOOKS = ('mod._hooked',)\n_CAP = 3\n_LONE: int = 4\n__all__ = ()\n\n\n"
+              "def public(rows):\n    return _helper(rows) + _CAP + rows._attr\n\n\n"
+              "def _helper(rows):\n    return _helper(rows)\n\n\n"
+              "def _int_rank(rows):\n    return _int_rank(rows)\n\n\n"
+              "def _hooked():\n    pass\n\n\n"
+              "class _Lonely:\n    pass\n")
+    private = {name: name for name in _private_definitions(source)}
+    assert sorted(private) == ["_CAP", "_LONE", "_Lonely", "_helper", "_hooked", "_int_rank"]
+    assert _unused(private, [source], "", _private_of) == ["_LONE", "_Lonely", "_int_rank"]

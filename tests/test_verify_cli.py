@@ -112,6 +112,31 @@ def test_files_corpus(tmp_path):
     p2.write_text("1 2 3\n2 3 4\n")
     rep = verify("edge-count", ("files", (str(p1), str(p2))), stable_time=True)
     assert rep.instances == 2 and rep.confirmations == 2
+    # bytes and os.PathLike paths are paths too
+    rep = verify("edge-count", ("files", [bytes(p1), p2]), stable_time=True)
+    assert rep.instances == 2 and rep.confirmations == 2
+
+
+@pytest.mark.parametrize("path", [None, 3.5, [b"a.txt"]], ids=["none", "float", "list"])
+def test_files_corpus_refuses_a_path_that_is_not_one(path):
+    with pytest.raises(rl.BadParameters, match="path must be"):
+        verify("edge-count", ("files", [path]))
+
+
+def test_files_corpus_does_not_open_an_int_as_a_descriptor(tmp_path):
+    """An int path was opened as a file descriptor, read as a complex and
+    closed; ``[False]`` read stdin and closed fd 0."""
+    import os
+
+    p = tmp_path / "a.txt"
+    p.write_text("1 2\n2 3\n")
+    fd = os.open(p, os.O_RDONLY)
+    try:
+        with pytest.raises(rl.BadParameters, match="path must be"):
+            verify("edge-count", ("files", [str(p), fd]))
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
 
 
 def test_nonpure_file_becomes_skip(tmp_path, capsys):
@@ -148,8 +173,13 @@ def test_cli_analyze_text_and_json(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "line graph" in text and "shellable" in text
     assert main(["analyze", str(f), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    doc = json.loads(stdout)
     assert doc["beta2"]["oracle"] == doc["beta2"]["predicted"]["all"]
+    # --out writes the JSON report and still prints the rendering
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(f), "--out", str(out)]) == 0
+    assert out.read_text() == stdout and capsys.readouterr().out == text
 
 
 def test_cli_betti_and_linegraph(tmp_path, capsys):
@@ -163,8 +193,12 @@ def test_cli_betti_and_linegraph(tmp_path, capsys):
     table = json.loads(capsys.readouterr().out)
     assert [1, 2, 3] in table["entries"]
     assert main(["linegraph", str(f)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["edge_count"] == 3
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["edge_count"] == 3
+    # --out writes the same document in place of stdout
+    out = tmp_path / "lg.json"
+    assert main(["linegraph", str(f), "--out", str(out)]) == 0
+    assert out.read_text() == stdout and capsys.readouterr().out == ""
 
 
 def test_cli_betti_degree_matches_table_entry(tmp_path, capsys):
@@ -220,7 +254,8 @@ def test_cli_usage_and_budget_errors(tmp_path, capsys):
     capsys.readouterr()
     # a malformed corpus flag, and two corpus flags together, are usage errors
     rnd, exh, files = ["--random", "5,2,3,1"], ["--exhaustive", "4,2,2"], ["--files", "a.json"]
-    for flags in (["--random", "bad"], rnd + exh, exh + files, files + rnd):
+    for flags in (["--random", "bad"], ["--random", "5,2,x,1"], rnd + exh, exh + files,
+                  files + rnd):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--theorem", "deltac", *flags])
         assert exc.value.code == 2
