@@ -27,9 +27,10 @@ strong homotopy types). A window that collapses to a point needs no rank;
 any other is answered from its core, itself a window looked up in the same
 memo, so ranks are taken only for cores that miss.
 
-On top of the table sit linear resolutions, linear quotients, the dual
+Beside the table sit linear resolutions, linear quotients, the dual
 criterion for Cohen-Macaulayness and the chordal-complement test for edge
-ideals.
+ideals. A linear resolution is decided by the same scan without a table:
+it stops at the first window with homology off the linear strand.
 """
 
 from __future__ import annotations
@@ -387,16 +388,32 @@ def beta_in_degree(ideal: MonomialIdeal, i: int, j: int, field=FieldChoice.GF2) 
 
 
 def has_linear_resolution(ideal: MonomialIdeal, field=FieldChoice.GF2) -> bool:
-    """All generators in one degree d and every table entry on j - i = d - 1."""
+    """All generators in one degree d and every table entry on j - i = d - 1.
+
+    One pass over the lcm lattice, with no table: a window of j vertices
+    puts ``hom[j - i]`` in entry (i, j), so it is off the strand exactly
+    when ``hom`` is nonzero away from index d - 1, and the first such window
+    answers False. A scan that runs to the end answers True, after the
+    first syzygies (``hom[d - 1]`` over the windows of d vertices) are
+    checked against the generator count, as ``betti_table`` checks them.
+    """
     _check_ideal(ideal)
+    field = _field(field)
     if not ideal.generators:
         return True
     degrees = {len(g) for g in ideal.generators}
     if len(degrees) != 1:
         return False
     d = degrees.pop()
-    table = betti_table(ideal, field)
-    return all(j - i == d - 1 for (i, j), _ in table.entries)
+    firsts = 0
+    for j, hom in _hochster_scan(ideal, field):
+        if any(hom[:d - 1]) or any(hom[d:]):
+            return False
+        if j == d:
+            firsts += hom[d - 1]
+    if firsts != len(ideal.generators):
+        raise RidgelineError("first syzygies disagree with the generator count")
+    return True
 
 
 def has_linear_quotients(ideal: MonomialIdeal, budget: int | None = None):
@@ -424,11 +441,13 @@ def is_cohen_macaulay(cx: SimplicialComplex, field=FieldChoice.GF2) -> bool:
     That ideal is generated by the complements of the facets, so it is the
     facet ideal of the complement complex, which refuses the empty complex
     and a facet equal to the ambient set."""
+    field = _field(field)
     return has_linear_resolution(facet_ideal(complement_complex(cx)), field)
 
 
 def froberg_check(g: Graph, field=FieldChoice.GF2) -> dict:
     """Both sides of the chordal-complement criterion for edge ideals."""
+    field = _field(field)
     lin = has_linear_resolution(edge_ideal(g), field)
     chordal = is_chordal_graph(complement(g)) is not None
     return {

@@ -678,12 +678,15 @@ def _iter_corpus(corpus, seed, budget=None):
         for path in corpus[1]:
             with open(path, "rb") as fh:
                 data = fh.read()
+            # a bytes path is named as os.fsdecode names it, not as b'...'
+            label = (path.decode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())
+                     if isinstance(path, bytes) else str(path))
             try:
                 cx, name = parse_document(data)
             except RidgelineError as exc:
-                yield str(path), exc
+                yield label, exc
                 continue
-            yield name or str(path), cx
+            yield name or label, cx
     else:
         raise BadParameters(f"unknown corpus kind {kind!r}")
 

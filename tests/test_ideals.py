@@ -283,6 +283,83 @@ def test_linear_resolution_examples():
     assert not rl.has_linear_resolution(rl.edge_ideal(rl.cycle_graph(5)))
 
 
+def _on_strand(I, field) -> bool:
+    """The whole-table reading of a linear resolution, for one-degree ideals."""
+    d = len(I.generators[0])
+    return all(j - i == d - 1 for (i, j), _ in rl.betti_table(I, field).entries)
+
+
+def test_early_exit_matches_whole_table_exhaustive(d3_corpus):
+    # every edge ideal on five vertices and every facet ideal of (6, 3, <= 5)
+    edge_ideals = [rl.edge_ideal(rl.Graph(5, cx.facets))
+                   for cx in rl.enumerate_pure_complexes(5, 2, 10)]
+    ideals = edge_ideals + [rl.facet_ideal(cx) for cx in d3_corpus]
+    assert len(ideals) == 1023 + 21699
+    for field in ("gf2", "rational"):
+        answers = Counter()
+        for I in ideals:
+            linear = rl.has_linear_resolution(I, field)
+            assert linear == _on_strand(I, field), (I, field)
+            answers[linear] += 1
+        assert answers[True] and answers[False]
+
+
+def test_early_exit_sees_the_field_of_the_projective_plane():
+    # the Stanley-Reisner ideal of RP^2_6 is generated in degree 3; its one
+    # window of all six vertices carries beta_{3,6} = beta_{4,6} = 1 over
+    # GF(2), off the strand, and nothing over the rationals
+    from test_homology import RP2
+
+    I = rl.stanley_reisner_ideal(rl.from_facets(RP2))
+    for field, linear in (("gf2", False), ("rational", True)):
+        clear_window_memos()
+        assert rl.has_linear_resolution(I, field) is linear
+        assert _on_strand(I, field) is linear
+
+
+def test_early_exit_ranks_fewer_windows_than_the_table(monkeypatch):
+    # the complement of C6 holds the induced square 1-4-2-5, so by Froberg
+    # the edge ideal of C6 is not linear
+    calls = []
+    rank = algebra._rational_ranks
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(algebra, "_rational_ranks", counted)
+    I = rl.edge_ideal(rl.cycle_graph(6))
+    clear_window_memos()
+    assert rl.has_linear_resolution(I, "rational") is False
+    early = len(calls)
+    clear_window_memos()
+    calls.clear()
+    assert not _on_strand(I, "rational")
+    assert 0 < early < len(calls)
+
+
+def test_early_exit_checks_first_syzygies_on_a_full_scan(monkeypatch):
+    # dropping one generator window leaves every window on the strand, so
+    # the scan runs to the end and the generator count must catch it
+    scan = algebra._hochster_scan
+
+    def dropping(ideal, field, size=None):
+        windows = scan(ideal, field, size)
+        dropped = False
+        for j, hom in windows:
+            if j == 2 and not dropped:
+                dropped = True
+                continue
+            yield j, hom
+
+    I = rl.edge_ideal(rl.path_graph(4))
+    assert rl.has_linear_resolution(I)
+    monkeypatch.setattr(algebra, "_hochster_scan", dropping)
+    for field in ("gf2", "rational"):
+        with pytest.raises(rl.RidgelineError, match="first syzygies disagree"):
+            rl.has_linear_resolution(I, field)
+
+
 def test_linear_quotients_matches_oracle():
     cases = [
         [[1, 2], [2, 3]],

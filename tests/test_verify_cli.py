@@ -117,6 +117,20 @@ def test_files_corpus(tmp_path):
     assert rep.instances == 2 and rep.confirmations == 2
 
 
+def test_bytes_path_names_its_instance_by_the_decoded_path(tmp_path):
+    """A bytes path names an unreadable or unnamed document by the path
+    itself, as ``os.fsdecode`` decodes it, never by its ``b'...'`` repr."""
+    import os
+
+    empty, nonpure = tmp_path / "e.txt", tmp_path / "np.txt"
+    empty.write_text("")
+    nonpure.write_text("1 2\n3 4 5\n")
+    rep = verify("edge-count", ("files", [bytes(empty), os.fsencode(nonpure)]), stable_time=True)
+    assert [s["document"]["name"] for s in rep.skips] == [str(empty), str(nonpure)]
+    assert rep.skips[0]["reason"].startswith("unreadable document")
+    assert "b'" not in rep.to_json()
+
+
 @pytest.mark.parametrize("path", [None, 3.5, [b"a.txt"]], ids=["none", "float", "list"])
 def test_files_corpus_refuses_a_path_that_is_not_one(path):
     with pytest.raises(rl.BadParameters, match="path must be"):
