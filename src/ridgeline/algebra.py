@@ -8,7 +8,8 @@ generators (an element of the lcm lattice) can contribute, as any other W
 has a cone point; so one scan, which walks that lattice alone, serves the
 whole table and single degrees. Ranks come from boundary-matrix ranks, over
 GF(2) in ``kernels`` and over the rationals here, by one elimination: each
-boundary row is reduced against a basis keyed by leading column, and the
+boundary row, indexed by the bitmasks of the faces it meets, is reduced
+against a basis keyed by leading column, the highest such mask, and the
 rank is the size of the basis. The fields differ only in the row
 arithmetic, XOR on bit rows for GF(2) and exact integer combination of
 sparse rows for the rationals.
@@ -24,8 +25,8 @@ order; there is no cache of whole tables. A window that misses the memo is
 first strongly collapsed: a vertex whose link is a cone is dropped, which
 keeps the homotopy type and so the homology over any field (Barmak-Minian,
 strong homotopy types). A window that collapses to a point needs no rank;
-any other is answered from its core, itself a window looked up in the same
-memo, so ranks are taken only for cores that miss.
+any other is answered by ranking its core, and only the window's answer is
+stored.
 
 Beside the table sit linear resolutions, linear quotients, the dual
 criterion for Cohen-Macaulayness and the chordal-complement test for edge
@@ -141,12 +142,13 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 def _rational_ranks(face: bytearray, n: int):
     """Same contract and elimination as the GF(2) kernel, over the rationals.
 
-    A boundary row is a sparse ``{column: coefficient}`` dict (vertices map to
-    the empty face with sign +1). It is reduced against the basis row at its
-    leading column by ``row * b[lead] - b * row[lead]``, with the row's gcd
-    divided out after each step, until it is zero or takes a free lead.
+    A boundary row is a sparse ``{face mask: coefficient}`` dict (vertices map
+    to the empty face, mask 0, with sign +1). It is reduced against the basis
+    row at its leading column, its highest face mask, by
+    ``row * b[lead] - b * row[lead]``, with the row's gcd divided out after
+    each step, until it is zero or takes a free lead.
     """
-    by_card, colidx, fvec = _faces_by_cardinality(face, n)
+    by_card, fvec = _faces_by_cardinality(face, n)
     ranks = [0] * (n + 2)
     for p in range(1, n + 1):
         basis = {}
@@ -157,7 +159,7 @@ def _rational_ranks(face: bytearray, n: int):
             while mm:
                 low = mm & -mm
                 mm ^= low
-                row[colidx[m ^ low]] = sign
+                row[m ^ low] = sign
                 sign = -sign
             while row:
                 lead = max(row)
@@ -278,12 +280,6 @@ def _strong_core(key: tuple, j: int):
         gens = [g for g in gens if not g & v]
 
 
-def _remember(memo: dict, key: tuple, hom: tuple) -> None:
-    if len(memo) >= _WINDOW_MEMO_CAP:
-        memo.clear()
-    memo[key] = hom
-
-
 def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     """Reduced homology of the restriction to each window W of the generator
     support, as ``(|W|, hom)`` with ``hom[p]`` the rank in dimension p - 1.
@@ -305,12 +301,11 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
 
     A window that misses the memo is strongly collapsed to its core
     (``_strong_core``), which keeps homology over any field. A cone settles
-    to all zeros without a rank. Any other core is itself a window, so its
-    ``hom`` is looked up in the same memo under the core's key and ranked
-    only on a miss; the window's ``hom`` is the core's, padded with zeros to
-    length |W| + 1. A ``hom`` enters the memo only after its ranks are
-    checked, and the memo is emptied when it reaches ``_WINDOW_MEMO_CAP``
-    entries, whichever kind of key is stored.
+    to all zeros without a rank. Any other core is ranked directly, and the
+    window's ``hom`` is the core's, padded with zeros to length |W| + 1. A
+    ``hom`` enters the memo, under the window's key alone, only after its
+    ranks are checked, and the memo is emptied when it reaches
+    ``_WINDOW_MEMO_CAP`` entries.
     """
     _check_ambient_cap(len(ideal.ambient), "Hochster scan")
     supp = sorted(set().union(*ideal.generators))
@@ -335,17 +330,14 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
                 hom = (0,) * (j + 1)
             else:
                 core_key, c = core
-                hom = memo.get(core_key)
-                if hom is None:
-                    if field is FieldChoice.GF2:
-                        fvec, ranks = kernels.ranks_of_nonface_complex(core_key, (1 << c) - 1)
-                    else:
-                        fvec, ranks = _rational_ranks(*nonface_indicator(core_key, (1 << c) - 1))
-                    hom = tuple(_homology_from_ranks(fvec, ranks, c - 1))
-                    if c < j:  # else the core is the window, stored below
-                        _remember(memo, core_key, hom)
-                hom += (0,) * (j - c)
-            _remember(memo, key, hom)
+                if field is FieldChoice.GF2:
+                    fvec, ranks = kernels.ranks_of_nonface_complex(core_key, (1 << c) - 1)
+                else:
+                    fvec, ranks = _rational_ranks(*nonface_indicator(core_key, (1 << c) - 1))
+                hom = tuple(_homology_from_ranks(fvec, ranks, c - 1)) + (0,) * (j - c)
+            if len(memo) >= _WINDOW_MEMO_CAP:
+                memo.clear()
+            memo[key] = hom
         yield j, hom
 
 

@@ -15,7 +15,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .algebra import beta_in_degree, betti_table, facet_ideal
-from .errors import BudgetExceeded, RidgelineError
+from .errors import BadParameters, BudgetExceeded, RidgelineError
 from .harness import (
     _iter_corpus,
     _report_text,
@@ -68,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bt = sub.add_parser("betti", help="graded Betti number of the facet ideal")
     p_bt.add_argument("file")
-    p_bt.add_argument("--i", type=int, required=True, help="homological index")
-    p_bt.add_argument("--j", type=int, required=True, help="internal degree")
+    p_bt.add_argument("--i", type=int, help="homological index (needed without --table)")
+    p_bt.add_argument("--j", type=int, help="internal degree (needed without --table)")
     p_bt.add_argument("--field", choices=["gf2", "rat"], default="gf2")
     p_bt.add_argument("--table", action="store_true", help="print the whole table as JSON")
 
@@ -131,8 +131,10 @@ def _cmd_betti(args) -> int:
     if args.table:
         table = betti_table(ideal, args.field)
         rows = [[i, j, rank] for (i, j), rank in table.entries]
-        sys.stdout.write(json.dumps({"field": args.field, "entries": rows}) + "\n")
+        sys.stdout.write(json.dumps({"field": table.field.value, "entries": rows}) + "\n")
         return 0
+    if args.i is None or args.j is None:
+        raise BadParameters("betti needs --i and --j, or --table")
     sys.stdout.write(f"{beta_in_degree(ideal, args.i, args.j, args.field)}\n")
     return 0
 

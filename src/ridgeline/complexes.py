@@ -13,8 +13,11 @@ minors and duals, and all operations here accept them.
 Every walk over the 2**n subsets of a vertex set goes through this module:
 ``facet_indicator`` marks the faces of a facet family, ``nonface_indicator``
 marks the sets avoiding every generator inside a window, and
-``_faces_by_cardinality`` groups the marked faces for the rank routines of
-both coefficient fields. ``_check_ambient_cap`` refuses such a walk over more
+``_faces_by_cardinality`` groups the marked faces, each keyed by its own
+mask, for the rank routines of both coefficient fields. Derived complexes
+take one walk, that of ``minimal_nonfaces``: the Alexander dual reads its
+facets off it, and the independence complex is the dual of the complex of
+the facets' complements. ``_check_ambient_cap`` refuses such a walk over more
 than ``AMBIENT_CAP`` vertices. ``_compressed`` moves masks onto the bits of a
 window, for the non-face indicator and for the Betti scan's memo key.
 """
@@ -447,19 +450,21 @@ def is_shellable(cx: SimplicialComplex, budget: int | None = None) -> Optional[t
 def independence_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """Complex, over the same ambient, of the vertex sets that contain no
     facet of ``cx``: the facets are read as circuits, so they are its
-    minimal non-faces."""
+    minimal non-faces.
+
+    A set contains no facet exactly when its complement lies in no facet's
+    complement, so this is the Alexander dual of the complex generated by
+    the facets' complements. A facet equal to the ambient has the empty
+    complement and gives the boundary of the simplex; the empty complex
+    gives the full simplex.
+    """
     _check_complex(cx)
     amb = cx.ambient
-    n = len(amb)
-    _check_ambient_cap(n, "independence_complex")
-    independent, _ = nonface_indicator(_masks_of(cx.facets, amb), (1 << n) - 1)
-    facets = []
-    for m in range(1 << n):
-        if not independent[m]:
-            continue
-        if all(not independent[m | (1 << i)] for i in range(n) if not m >> i & 1):
-            facets.append(_face_of(m, amb))
-    return SimplicialComplex(amb, tuple(sorted(facets)))
+    _check_ambient_cap(len(amb), "independence_complex")
+    if cx.is_empty:
+        return SimplicialComplex(amb, (amb,))
+    comps = tuple(sorted(tuple(v for v in amb if v not in f) for f in cx.facets))
+    return alexander_dual(SimplicialComplex(amb, comps))
 
 
 def _masks_of(faces: Iterable[Iterable[int]], ambient: tuple) -> list:
@@ -565,19 +570,15 @@ def nonface_indicator(gen_masks, w_mask: int):
 
 
 def _faces_by_cardinality(face: bytearray, n: int):
-    """``(by_card, colidx, fvec)`` of a face indicator over 2**n bitmasks.
+    """``(by_card, fvec)`` of a face indicator over 2**n bitmasks.
 
-    ``by_card[p]`` lists the faces of cardinality p in increasing mask order,
-    ``colidx[m]`` is the position of face m in its list, and ``fvec[p]``
-    counts the faces of cardinality p, with a trailing zero at p = n + 1.
+    ``by_card[p]`` lists the faces of cardinality p in increasing mask order
+    and ``fvec[p]`` counts them, with a trailing zero at p = n + 1. A face's
+    mask is its own column in the boundary rows of both rank routines.
     """
     by_card = [[] for _ in range(n + 1)]
     for m in range(1 << n):
         if face[m]:
             by_card[m.bit_count()].append(m)
-    colidx = {}
-    for layer in by_card:
-        for k, m in enumerate(layer):
-            colidx[m] = k
     fvec = [len(layer) for layer in by_card] + [0]
-    return by_card, colidx, fvec
+    return by_card, fvec

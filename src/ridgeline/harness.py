@@ -362,11 +362,11 @@ def _chordal_hypotheses(cx: SimplicialComplex):
     """
     d = facet_size(cx)
     g = _ridge_graph(cx)
-    if not is_connected(g):
+    dia = diameter(g)  # inf exactly when disconnected
+    if dia == inf:
         return False, "line graph disconnected"
     if is_chordal_graph(g) is None:
         return False, "line graph not chordal"
-    dia = diameter(g)
     if dia > d:
         return False, f"line graph diameter {dia} exceeds facet size {d}"
     return True, {"diameter": dia}
@@ -788,15 +788,16 @@ def analyze(cx: SimplicialComplex, field=FieldChoice.GF2, name: str | None = Non
     _check_complex(cx)
     field = _field(field)
     search_budget(budget)
+    pure = is_pure(cx)
     report: dict = {
         "name": name,
         **complex_document(cx),
         "facet_count": cx.facet_count,
         "dimension": dimension(cx),
-        "pure": is_pure(cx),
+        "pure": pure,
         "field": field.value,
     }
-    if not is_pure(cx) or cx.is_empty:
+    if not pure or cx.is_empty:
         report["note"] = "line-graph analysis needs a nonempty pure complex"
         return report
     # one ridge adjacency serves the line graph, both edge counts, the

@@ -9,9 +9,11 @@ homology is automatically reduced. Both lists have length n + 2.
 
 The face-indicator builders and the grouping of faces by cardinality live in
 ``complexes`` and are shared with the rational rank routine in ``algebra``.
-Both fields reduce each boundary row against a basis keyed by leading
-column and differ only in the row arithmetic: XOR on int bit rows here,
-integer combination of sparse rows there.
+A boundary row's columns are the bitmasks of the faces it meets, so bit m
+of an int row here stands for face m and a row's leading column is its
+highest face mask. Both fields reduce each boundary row against a basis
+keyed by leading column and differ only in the row arithmetic: XOR on int
+bit rows here, integer combination of sparse rows there.
 
 This pure-Python module is the only GF(2) kernel. It keeps the name
 ``kernels`` and its two entry points because the benchmark's per-layer spans
@@ -28,29 +30,25 @@ COMPILED = False
 
 
 def _ranks_from_faces(face: bytearray, n: int):
-    by_card, colidx, fvec = _faces_by_cardinality(face, n)
+    by_card, fvec = _faces_by_cardinality(face, n)
     ranks = [0] * (n + 2)
     for p in range(1, n + 1):
-        if not by_card[p]:
-            continue
         basis = {}
-        rk = 0
         for m in by_card[p]:
             row = 0
             mm = m
             while mm:
                 low = mm & -mm
                 mm ^= low
-                row |= 1 << colidx[m ^ low]
+                row |= 1 << (m ^ low)
             while row:
                 lead = row.bit_length() - 1
                 b = basis.get(lead)
                 if b is None:
                     basis[lead] = row
-                    rk += 1
                     break
                 row ^= b
-        ranks[p] = rk
+        ranks[p] = len(basis)
     return fvec, ranks
 
 

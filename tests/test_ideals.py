@@ -571,10 +571,11 @@ def test_window_memo_matches_cold_route_exhaustive_n5():
                             I.generators, I.ambient, i, j, of), (I, field, i, j)
 
 
-def test_window_memo_clear_empties_core_entries_too(monkeypatch):
+def test_window_memo_holds_only_the_window_key(monkeypatch):
     # the edge ideal of C5 with the pendant edge 1-6: N(6) lies in N(2) and
     # in N(5), so the 6-vertex window collapses to the core {1, 3, 4, 6}
-    # with edges {3, 4} and {1, 6}, a square, and beta_{4,6} = 1
+    # with edges {3, 4} and {1, 6}, a square, and beta_{4,6} = 1; the core
+    # is ranked, and only the window's answer is stored
     from ridgeline import kernels
 
     I = rl.edge_ideal(rl.Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)]))
@@ -592,15 +593,15 @@ def test_window_memo_clear_empties_core_entries_too(monkeypatch):
     monkeypatch.setattr(algebra, "_rational_ranks", counted(algebra._rational_ranks))
     for field in rl.FieldChoice:
         memo = algebra._window_memos[field]
-        for round_ in (1, 2):
+        for _ in (1, 2):
             clear_window_memos()
             assert not memo
             assert rl.beta_in_degree(I, 4, 6, field) == 1
-            assert set(memo) == {window_key, core_key}
-            assert memo[window_key] == memo[core_key] + (0, 0)
-            assert len(calls) == round_
-            assert rl.beta_in_degree(I, 4, 6, field) == 1 and len(calls) == round_
-        calls.clear()
+            assert set(memo) == {window_key}
+            assert memo[window_key] == (0, 0, 1, 0, 0, 0, 0)
+            assert len(calls) == 1
+            assert rl.beta_in_degree(I, 4, 6, field) == 1 and len(calls) == 1
+            calls.clear()
 
 
 class _SizeWatch(dict):

@@ -231,6 +231,21 @@ def test_cli_betti_degree_matches_table_entry(tmp_path, capsys):
             assert capsys.readouterr().out.strip() == expected
 
 
+def test_cli_betti_table_needs_no_degree(tmp_path, capsys):
+    f = tmp_path / "c.txt"
+    f.write_text("1 2\n2 3\n1 3\n")
+    for flag, name in (("gf2", "gf2"), ("rat", "rational")):
+        assert main(["betti", str(f), "--table", "--field", flag]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table == {"field": name, "entries": [[1, 2, 3], [2, 3, 2]]}
+    # without --table both degrees are needed: a usage error, exit code 2
+    for argv in ([], ["--i", "2"], ["--j", "3"]):
+        assert main(["betti", str(f), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: betti needs --i and --j, or --table\n"
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--theorem", "deltac", "--random", "7,3,4,30",
