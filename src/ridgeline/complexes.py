@@ -297,6 +297,11 @@ def _simplicial_bit(through, kept, bit: int) -> bool:
     return True
 
 
+# families of at most this many facets are chordal (the lemma in
+# is_chordal_complex's docstring), so the chase never visits one
+_CHORDAL_BASE = 3
+
+
 def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool:
     """Whether every minor of the complex has a simplicial vertex.
 
@@ -314,19 +319,29 @@ def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool
     Ambient vertices outside the support touch no facet and are dropped by
     any minor anyway.
 
-    Empty and single-facet families count as chordal base cases. The memo is
-    keyed by the frozenset, which determines the canonical facet tuple and
-    back. A parent skips a base-case child and looks every other child up in
-    the memo before it recurses, so each recursion visits a new state and
-    spends one budget step.
+    Families of at most three facets are chordal base cases, by this lemma:
+    every antichain of at most three sets is chordal, whatever the set sizes.
+    If some vertex lies in exactly one set, no two sets pass through it and
+    it is simplicial. Otherwise every vertex lies in at least two sets; two
+    or three distinct sets cannot all share every vertex, so some vertex v
+    lies in exactly two sets A and B. The third set C avoids v, and each of
+    its vertices lies in A or B, so C lies inside (A | B) minus v and v is
+    simplicial. Every minor of such a family again has at most three sets,
+    so every minor has a simplicial vertex. The 4-cycle 12, 23, 34, 14 has
+    none, so the bound of three is tight.
+
+    The memo is keyed by the frozenset, which determines the canonical facet
+    tuple and back. A parent skips a base-case child and looks every other
+    child up in the memo before it recurses, so each recursion visits a new
+    state of four or more facets and spends one budget step.
     """
     _check_complex(cx)
     spend = Budget(budget).spend
     memo: dict = {}
 
     def good(masks: frozenset) -> bool:
-        # a new state of two or more facets: split up to the first simplicial
-        # bit, and let the children resume the splits after it
+        # a new state of four or more facets: split up to the first
+        # simplicial bit, and let the children resume the splits after it
         spend()
         pending = _splits(masks)
         tested = []
@@ -339,7 +354,7 @@ def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool
             return False
         ok = True
         for through, kept, bit in chain(tested, pending):
-            if len(kept) > 1:
+            if len(kept) > _CHORDAL_BASE:
                 child = frozenset(kept)
                 hit = memo.get(child)
                 if not (good(child) if hit is None else hit):
@@ -353,7 +368,7 @@ def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool
                         break
                 else:
                     contracted.append(face)
-            if len(contracted) > 1:
+            if len(contracted) > _CHORDAL_BASE:
                 child = frozenset(contracted)
                 hit = memo.get(child)
                 if not (good(child) if hit is None else hit):
@@ -364,7 +379,7 @@ def is_chordal_complex(cx: SimplicialComplex, budget: int | None = None) -> bool
 
     root = frozenset(_masks_of(cx.facets, cx.support))
     try:
-        return len(root) <= 1 or good(root)
+        return len(root) <= _CHORDAL_BASE or good(root)
     finally:
         del good  # break the closure's cycle through its own cell, and the memo with it
 

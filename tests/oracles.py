@@ -365,10 +365,13 @@ def oracle_minor_chase(facets, limit=None):
     as ``(verdict, steps)``.
 
     States are canonical facet tuples, memoized; families of at most one
-    facet pass. Each new state counts one step after the memo misses, and the
-    step past ``limit`` raises OracleBudgetExceeded. Vertices go in ascending
-    order, the property test before any recursion, the deletion before the
-    contraction at each vertex.
+    facet pass. The recursion runs through every minor, small ones included,
+    so it checks the package's lemma that families of at most three facets
+    are chordal rather than assuming it. Only a new state of four or more
+    facets counts one step after the memo misses, as the package's chase
+    visits no smaller one, and the step past ``limit`` raises
+    OracleBudgetExceeded. Vertices go in ascending order, the property test
+    before any recursion, the deletion before the contraction at each vertex.
     """
     memo = {}
     steps = 0
@@ -380,9 +383,10 @@ def oracle_minor_chase(facets, limit=None):
             return True
         if state in memo:
             return memo[state]
-        steps += 1
-        if limit is not None and steps > limit:
-            raise OracleBudgetExceeded(steps)
+        if len(state) > 3:
+            steps += 1
+            if limit is not None and steps > limit:
+                raise OracleBudgetExceeded(steps)
         support = sorted(set().union(*map(set, state)))
         ok = any(oracle_is_simplicial(state, v) for v in support)
         if ok:

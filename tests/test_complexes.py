@@ -217,6 +217,25 @@ def _oracle_chase(facets, limit=None):
         return "exceeded", exc.args[0]
 
 
+def test_families_of_two_or_three_facets_are_chordal_without_a_step():
+    """The lemma of is_chordal_complex on every antichain of two or three
+    nonempty subsets of five points, mixed sizes included: the oracle, which
+    recurses through every minor, finds each one chordal, and the chase
+    answers each without spending a step."""
+    families = [f for f in antichains(range(1, 6)) if 2 <= len(f) <= 3]
+    assert len(families) == 1375
+    for family in families:
+        assert oracle_minor_chase(family)[0] is True, family
+        assert _chase_and_steps(rl.from_facets(family)) == (True, 0), family
+
+
+def test_four_cycle_bounds_the_small_families():
+    # four facets can fail: no vertex of the 4-cycle is simplicial
+    cycle = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    assert _chase_and_steps(rl.from_facets(cycle)) == (False, 1)
+    assert _oracle_chase(cycle) == (False, 1)
+
+
 def _assert_chase_matches_oracle(cx):
     verdict, steps = _oracle_chase(cx.facets)
     assert _chase_and_steps(cx) == (verdict, steps), cx

@@ -68,8 +68,8 @@ STATEMENTS = ("edge-count", "betti2", "ev-d2", "deltac", "complete", "c3",
 # clique-cover bound settles every star search of the (8, 3, 8) corpus
 # within one step, so the (9, 3, 40) corpus keeps star-free exhaustion pinned;
 # the chordality corpora pass 12 and 4 instances through the hypothesis gate,
-# whose minor chases take 42 to 79 and 68 to 85 steps (one dual-chordal
-# counterexample at 75)
+# whose minor chases take 4 to 12 and 5 to 11 steps (one dual-chordal
+# counterexample at 5)
 BUDGETED = (
     ("betti2", ("random", 5, 2, 8, 12), (3, 5, 8, 13)),
     ("betti2", ("random", 6, 3, 12, 8), (21, 55, 89, 144)),
@@ -77,8 +77,8 @@ BUDGETED = (
     ("star-free", ("random", 9, 3, 40, 12), (1, 3, 8, 21, 55, 144)),
     ("clique-partition", ("random", 8, 3, 8, 12), (1, 2, 3, 5, 8, 13)),
     ("shellable-connected", ("random", 6, 3, 8, 12), (3, 5, 8, 13)),
-    ("chordal-main", ("random", 6, 3, 6, 40), (21, 46, 55, 89)),
-    ("dual-chordal", ("random", 6, 3, 7, 40), (34, 68, 75, 89)),
+    ("chordal-main", ("random", 6, 3, 6, 40), (3, 5, 8, 13)),
+    ("dual-chordal", ("random", 6, 3, 7, 40), (3, 5, 9, 13)),
 )
 
 ANALYZED = {
@@ -129,9 +129,11 @@ GOLDEN = {
     # now decided (confirmed, as unbudgeted); budgets 1 to 8 still run out
     'clique-partition-budgets-8-3-8': '9f3ca3be5128fe6434eabf9840f685997dc17baff40429d01785c393ab351fdf',
     'shellable-connected-budgets-6-3-8': '79e25a5b5356bcba0abeeb0bbd6b298eafe666687ed20b032d61c3fc9e587b49',
-    # frozen from the chase before it split each minor once per vertex
-    'chordal-main-budgets-6-3-6': '1b2d94ee07ca2790d0b6445a7bbf209e524c8a0b094521b7c5f08b5b850e1e73',
-    'dual-chordal-budgets-6-3-7': '87c20dbc318b82962c2c3507ccfe20f4bf9fdc36c4a6c53815949d6899599fd3',
+    # re-frozen when the chase stopped visiting minors of at most three
+    # facets: its step counts fell, so the budgets above were re-picked to
+    # straddle the new counts; no unbudgeted verdict changed
+    'chordal-main-budgets-6-3-6': '4f5b3757ffc95a514b31b52901c2ab40ea1349fc43fc4df9948e78b6a28d955c',
+    'dual-chordal-budgets-6-3-7': 'b957076e976788b119b7ef93368d9b2f32c3589815d8160b4a16b0dfd196575d',
     'analyze-bd3': 'fa7efe039a30f9931b3a0ba93e05bb0d45a8fa2f3e9e2080d6f746c2b5c0eb07',
     'analyze-edges': '5aab9396d2c3d161a0b1def939522f3e43f079d218655efddc4efa4b38b03af1',
     'analyze-sparse': '507b3ac98ed898b771339d30c05f6b569a37b46468c3c17b147a16b3e1aba737',

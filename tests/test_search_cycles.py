@@ -14,6 +14,7 @@ import ridgeline as rl
 
 BD3 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 GAMMA = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6)]
+CHAIN5 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]
 
 
 def _searches(budget=None):
@@ -21,11 +22,12 @@ def _searches(budget=None):
     search, clique_edge_partition (its solve and grow), has_induced_star,
     single_swap_order (through is_shellable), the chordality minor chase and
     the realizability search. The star search gets a line graph whose
-    neighbourhoods the greedy clique cover does not settle at once."""
+    neighbourhoods the greedy clique cover does not settle at once, and the
+    chase a chain whose minors of four facets make it recurse."""
     g = rl.line_graph(rl.random_pure_complex(10, 3, 30, 1)).graph
     dense = rl.line_graph(rl.random_pure_complex(9, 3, 40, 1)).graph
     gamma = rl.from_facets(GAMMA)
-    chain = rl.from_facets(GAMMA[:4])
+    chain = rl.from_facets(CHAIN5)
     return [
         lambda: rl.realizability_search(rl.path_graph(3), 2, 8, budget),
         lambda: rl.count_Nt(rl.from_facets(BD3), "max_disjoint", budget),
