@@ -294,8 +294,8 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     generators moved onto W's bit positions in order (``_compressed``), as a
     sorted tuple of one small int per generator. The move is an
     order-preserving relabelling of W onto 0..|W|-1, which preserves
-    homology over any field, and the moved masks are exactly what the
-    non-face indicator of W is built from, so equal keys mean equal ``hom``.
+    homology over any field, and W's non-face indicator is built from their
+    complements in W alone, so equal keys mean equal ``hom``.
     |W| is implied: W is the union of the generators inside it, so the moved
     masks cover all |W| positions.
 
@@ -307,8 +307,8 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     ranks are checked, and the memo is emptied when it reaches
     ``_WINDOW_MEMO_CAP`` entries.
     """
-    _check_ambient_cap(len(ideal.ambient), "Hochster scan")
     supp = sorted(set().union(*ideal.generators))
+    _check_ambient_cap(len(supp), "Hochster scan")
     gen_masks = sorted(_masks_of(ideal.generators, supp))
     top = len(supp) if size is None else size
     windows = {0}

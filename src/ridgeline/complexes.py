@@ -11,15 +11,16 @@ set are not constructible through ``from_facets`` but are legal results of
 minors and duals, and all operations here accept them.
 
 Every walk over the 2**n subsets of a vertex set goes through this module:
-``facet_indicator`` marks the faces of a facet family, ``nonface_indicator``
-marks the sets avoiding every generator inside a window, and
-``_faces_by_cardinality`` groups the marked faces, each keyed by its own
-mask, for the rank routines of both coefficient fields. Derived complexes
-take one walk, that of ``minimal_nonfaces``: the Alexander dual reads its
-facets off it, and the independence complex is the dual of the complex of
-the facets' complements. ``_check_ambient_cap`` refuses such a walk over more
-than ``AMBIENT_CAP`` vertices. ``_compressed`` moves masks onto the bits of a
-window, for the non-face indicator and for the Betti scan's memo key.
+``facet_indicator``, the one builder, marks the faces of a facet family,
+``nonface_indicator`` reads the sets avoiding every generator inside a
+window off it by Alexander duality, and ``_faces_by_cardinality`` groups the
+marked faces, each keyed by its own mask, for the rank routines of both
+coefficient fields. Derived complexes take one walk, that of
+``minimal_nonfaces``: the Alexander dual reads its facets off it, and the
+independence complex is the dual of the complex of the facets' complements.
+``_check_ambient_cap`` refuses such a walk over more than ``AMBIENT_CAP``
+vertices. ``_compressed`` moves masks onto the bits of a window, for the
+non-face indicator and for the Betti scan's memo key.
 """
 
 from __future__ import annotations
@@ -558,6 +559,9 @@ def _compressed(masks, w_mask: int) -> list:
     return out
 
 
+_NEGATE = b"\x01\x00" + bytes(254)  # translate table swapping the bytes 0 and 1
+
+
 def nonface_indicator(gen_masks, w_mask: int):
     """Indicator of the restriction to W of the complex whose non-faces are
     the sets containing some generator mask, as ``(face, n)``.
@@ -565,23 +569,16 @@ def nonface_indicator(gen_masks, w_mask: int):
     Faces are the subsets of ``w_mask`` containing no generator; generators
     not contained in ``w_mask`` cannot occur inside such a subset and are
     ignored. Masks are compressed onto the n bits of ``w_mask``.
+    S contains g exactly when W - S lies inside W - g (Alexander duality),
+    so this is the ``facet_indicator`` of the generators' complements in W
+    read at W - S: reversed, then negated.
     """
     if w_mask < 0:
         raise ValueError(f"window mask {w_mask} is negative")
     n = w_mask.bit_count()
-    if n > MAX_BITS:
-        raise ValueError(f"window of {n} bits outside 0..{MAX_BITS}")
-    total = 1 << n
-    face = bytearray(b"\x01") * total
-    for cg in _compressed([gm for gm in gen_masks if not gm & ~w_mask], w_mask):
-        sup = (total - 1) ^ cg
-        sub = sup
-        while True:
-            face[cg | sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & sup
-    return face, n
+    full = (1 << n) - 1
+    comps = [full ^ cg for cg in _compressed([gm for gm in gen_masks if not gm & ~w_mask], w_mask)]
+    return facet_indicator(comps, n)[::-1].translate(_NEGATE), n
 
 
 def _faces_by_cardinality(face: bytearray, n: int):

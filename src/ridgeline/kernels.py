@@ -7,8 +7,8 @@ GF(2) rank of the boundary map from cardinality-p faces to cardinality-(p-1)
 faces. The p = 1 map sends vertices to the empty face, so downstream
 homology is automatically reduced. Both lists have length n + 2.
 
-The face-indicator builders and the grouping of faces by cardinality live in
-``complexes`` and are shared with the rational rank routine in ``algebra``.
+The one face-indicator builder, its non-face reading and the grouping of
+faces by cardinality live in ``complexes``, shared with ``algebra``.
 A boundary row's columns are the bitmasks of the faces it meets, so bit m
 of an int row here stands for face m and a row's leading column is its
 highest face mask. Both fields reduce each boundary row against a basis

@@ -277,6 +277,29 @@ def oracle_independence_complex(circuits, ambient):
                   if not any(set(s) < set(t) for t in independent))
 
 
+def oracle_nonface_indicator(gen_masks, w_mask):
+    """``(face, n)`` as ``nonface_indicator`` gives it, by marking, for each
+    generator inside the window, every superset of it within the window as
+    a non-face. Bit k of an index stands for the k-th lowest bit of
+    ``w_mask``."""
+    bits = [b for b in range(w_mask.bit_length()) if w_mask >> b & 1]
+    n = len(bits)
+    total = 1 << n
+    face = bytearray(b"\x01") * total
+    for gm in gen_masks:
+        if gm & ~w_mask:
+            continue
+        cg = sum(1 << k for k, b in enumerate(bits) if gm >> b & 1)
+        sup = (total - 1) ^ cg
+        sub = sup
+        while True:
+            face[cg | sub] = 0
+            if sub == 0:
+                break
+            sub = (sub - 1) & sup
+    return face, n
+
+
 def antichains(ground):
     """Every antichain of subsets of ``ground`` (the empty family and the
     family holding only the empty set included), as sorted tuples of sorted

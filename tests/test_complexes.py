@@ -18,9 +18,10 @@ from oracles import (
     oracle_is_simplicial,
     oracle_minimal_nonfaces,
     oracle_minor_chase,
+    oracle_nonface_indicator,
     oracle_single_swap_order,
 )
-from ridgeline.complexes import _masks_of, _simplicial_bit, _split
+from ridgeline.complexes import _masks_of, _simplicial_bit, _split, nonface_indicator
 from ridgeline.errors import Budget
 
 CHAIN5 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]
@@ -108,6 +109,15 @@ def test_subset_scans_match_oracles_exhaustive():
             ind = rl.independence_complex(cx)
             assert ind.ambient == amb
             assert list(ind.facets) == oracle_independence_complex(family, amb), family
+    # the non-face indicator against the oracle's marking loop, for every
+    # antichain on four points (none, the empty set alone, ...) and every
+    # window of at most four bits (the empty one and each generator's own)
+    families = antichains(range(1, 5))
+    assert {(), ((),), ((1, 2, 3, 4),)} <= set(families)
+    for family in families:
+        masks = _masks_of(family, (1, 2, 3, 4))
+        for w_mask in range(16):
+            assert nonface_indicator(masks, w_mask) == oracle_nonface_indicator(masks, w_mask)
 
 
 def test_subset_scans_refuse_above_the_cap():
@@ -116,14 +126,21 @@ def test_subset_scans_refuse_above_the_cap():
         rl.minimal_nonfaces(rl.SimplicialComplex(big, ((1, 2),)))
     with pytest.raises(rl.BudgetExceeded):
         rl.independence_complex(rl.SimplicialComplex(big, ((1, 2),)))
-    ideal = rl.monomial_ideal([(1, 2)], ambient=big)
+    # the Betti scan walks the generator support, so its cap counts those
+    # vertices and not the ambient
+    path = rl.monomial_ideal([(i, i + 1) for i in range(1, 17)])
     with pytest.raises(rl.BudgetExceeded):
-        rl.betti_table(ideal)
+        rl.betti_table(path)
     with pytest.raises(rl.BudgetExceeded):
-        rl.beta_in_degree(ideal, 1, 2)
+        rl.beta_in_degree(path, 1, 2)
+    ideal = rl.monomial_ideal([(1, 2), (2, 3)], ambient=big)
+    assert rl.betti_table(ideal).as_dict() == {(1, 2): 2, (2, 3): 1}
+    assert rl.beta_in_degree(ideal, 1, 2) == 2
+    assert rl.has_linear_resolution(ideal)
+    assert rl.analyze(rl.from_facets([(1, 2, 3), (2, 3, 4)], ambient=big))["beta2"]["oracle"] == 1
     # sixteen vertices are still scanned
     assert rl.minimal_nonfaces(rl.SimplicialComplex(big[:16], ((1, 2),)))[0] == (3,)
-    assert rl.beta_in_degree(rl.monomial_ideal([(1, 2)], ambient=big[:16]), 1, 2) == 1
+    assert rl.beta_in_degree(rl.monomial_ideal([(i, i + 1) for i in range(1, 16)]), 1, 2) == 15
 
 
 def test_alexander_dual_known():

@@ -15,6 +15,7 @@ from oracles import (
     oracle_beta,
     oracle_homology,
     oracle_independence_complex,
+    oracle_nonface_indicator,
 )
 
 SPHERES = {
@@ -215,6 +216,7 @@ def test_property_kernel_contract_matches_oracle(n, masks, w_mask):
     assert fvec == _face_counts(facets, n) and len(ranks) == n + 2
     assert _homology(fvec, ranks) == oracle_homology(facets, "gf2")
     # the non-face route ignores generators that leave the window
+    assert nonface_indicator(masks, w_mask) == oracle_nonface_indicator(masks, w_mask)
     facets = oracle_independence_complex([_vertices(m) for m in masks], _vertices(w_mask))
     fvec, ranks = kernels.ranks_of_nonface_complex(masks, w_mask)
     assert fvec == _face_counts(facets, w_mask.bit_count()) and len(ranks) == len(fvec)
