@@ -395,12 +395,21 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
     also the colon condition for linear quotients of a squarefree ideal.
 
     Each set becomes a bitmask over the union of the sets (``_masks_of``) and
-    a prefix is the bitmask of the indices placed so far. Index i extends a
-    prefix when ``singles``, the OR of the one-bit differences m_i & ~m_k
-    over placed k, meets m_i & ~m_j for every placed j. Backtracking tries
-    indices in input order and memoizes dead prefixes (whether an order can
-    be completed depends only on the prefix as a set), so the witness is
-    deterministic; each prefix the memo misses spends one budget step.
+    a prefix is the bitmask of the indices placed so far. Let ``singles`` be
+    the OR of the one-bit differences m_i & ~m_k over placed k. It lies inside
+    m_i, so it meets m_i & ~m_j exactly when it is not inside m_j: index i
+    extends a prefix exactly when no placed set holds every vertex of
+    ``singles``. With ``holders[v]`` the bitmask of the sets holding vertex v,
+    the prefix carries ``need[i]``, the AND of ``holders[v]`` over the singles
+    of i so far (all sets while there are none), and i is accepted exactly
+    when ``need[i] & used == 0``. Placing k ANDs ``holders[v]`` into
+    ``need[i]`` for each i with m_i & ~m_k == v, a list built once per call.
+    ``need[i]`` always holds i itself, so the same AND rejects placed indices.
+
+    Backtracking tries indices in input order and memoizes dead prefixes
+    (whether an order can be completed depends only on the prefix as a set),
+    so the witness is deterministic; each prefix the memo misses spends one
+    budget step.
     """
     try:
         sets = list(sets)
@@ -410,37 +419,39 @@ def single_swap_order(sets, budget: int | None = None) -> Optional[tuple]:
     masks = _masks_of(sets, tuple(union))
     r = len(masks)
     full = (1 << r) - 1
+    holders = [0] * len(union)
+    for k, m in enumerate(masks):
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1] |= 1 << k
+            m ^= low
+    swaps = [[(i, holders[d.bit_length() - 1]) for i, mi in enumerate(masks)
+              if (d := mi & ~mk).bit_count() == 1] for mk in masks]
     spend = Budget(budget).spend
     dead: set = set()
     order: list = []
 
-    def extend(used: int) -> bool:
+    def extend(used: int, need: list) -> bool:
         if used == full:
             return True
         if used in dead:
             return False
         spend()
         for i in range(r):
-            if used >> i & 1:
-                continue
-            mi = masks[i]
-            singles = 0
-            for k in order:
-                diff = mi & ~masks[k]
-                if diff.bit_count() == 1:
-                    singles |= diff
-            # singles lies inside m_i, so singles & ~m_j is singles & m_i & ~m_j
-            if not all(singles & ~masks[j] for j in order):
+            if need[i] & used:
                 continue
             order.append(i)
-            if extend(used | 1 << i):
+            after = need.copy()
+            for j, h in swaps[i]:
+                after[j] &= h
+            if extend(used | 1 << i, after):
                 return True
             order.pop()
         dead.add(used)
         return False
 
     try:
-        found = extend(0)
+        found = extend(0, [full] * r)
     finally:
         del extend  # break the closure's cycle through its own cell
     return tuple(order) if found else None

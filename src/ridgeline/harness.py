@@ -358,15 +358,17 @@ def _ridge_graph(cx: SimplicialComplex) -> Graph:
 def _chordal_hypotheses(cx: SimplicialComplex):
     """Shared hypothesis gate: line graph connected, chordal, diameter <= d.
 
-    Returns (True, diag) or (False, reason).
+    Returns (True, diag) or (False, reason). The gates run cheapest first:
+    one BFS for connectivity, then chordality, and the diameter's BFS per
+    vertex only on a connected chordal line graph.
     """
     d = facet_size(cx)
     g = _ridge_graph(cx)
-    dia = diameter(g)  # inf exactly when disconnected
-    if dia == inf:
+    if not is_connected(g):
         return False, "line graph disconnected"
     if is_chordal_graph(g) is None:
         return False, "line graph not chordal"
+    dia = diameter(g)
     if dia > d:
         return False, f"line graph diameter {dia} exceeds facet size {d}"
     return True, {"diameter": dia}

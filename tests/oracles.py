@@ -10,7 +10,9 @@ against the textbook conditions, and graph chordality from induced-cycle
 search, independence complexes from subsets checked one by one, the
 chordal minor chase from deletions and contractions of explicit facet
 tuples, and the line-graph layer (ridge edges, ridge counts,
-triangle types, complete shapes) from pairwise intersections of facet sets.
+triangle types, complete shapes) from pairwise intersections of facet sets,
+and the chordal statements' hypothesis gate on that line graph in its
+diameter-first order.
 Clique edge partitions come from the earlier edge-indexed search, which the
 package's residual-row search must match in no more steps. The single-swap
 order (shelling, linear quotients) and realizability searches come from their
@@ -472,6 +474,39 @@ def oracle_characterize_complete(facets):
     if r >= 4 and d >= 2 and len(oracle_ridge_edges(facets)) == r * (r - 1) // 2:
         return "contradiction"
     return "Neither"
+
+
+def oracle_chordal_hypotheses(facets):
+    """The chordal statements' hypothesis gate as ``(True, {"diameter": D})``
+    or ``(False, reason)``, deciding in its first order: the diameter first
+    (by breadth-first search from every facet of the pairwise-intersection
+    line graph; a facet out of reach means disconnected), then chordality,
+    then diameter at most the facet size."""
+    r, d = len(facets), len(facets[0])
+    edges = oracle_ridge_edges(facets)
+    adj = {v: set() for v in range(1, r + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    dia = 0
+    for start in adj:
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in adj[v] - dist.keys():
+                    dist[w] = dist[v] + 1
+                    reached.append(w)
+            frontier = reached
+        if len(dist) < r:
+            return False, "line graph disconnected"
+        dia = max(dia, *dist.values())
+    if not oracle_chordal_graph(r, edges):
+        return False, "line graph not chordal"
+    if dia > d:
+        return False, f"line graph diameter {dia} exceeds facet size {d}"
+    return True, {"diameter": dia}
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ def test_chordal_complex_examples():
         rl.from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]))
 
 
-def _chase_and_steps(cx, budget=None):
-    """(verdict, Budget.spend calls), the verdict "exceeded" on BudgetExceeded."""
+def _with_steps(search):
+    """(search(), Budget.spend calls), the result "exceeded" on BudgetExceeded."""
     steps = 0
     spend = Budget.spend
 
@@ -220,11 +220,15 @@ def _chase_and_steps(cx, budget=None):
 
     Budget.spend = counting
     try:
-        return rl.is_chordal_complex(cx, budget), steps
+        return search(), steps
     except rl.BudgetExceeded:
         return "exceeded", steps
     finally:
         Budget.spend = spend
+
+
+def _chase_and_steps(cx, budget=None):
+    return _with_steps(lambda: rl.is_chordal_complex(cx, budget))
 
 
 def _oracle_chase(facets, limit=None):
@@ -334,6 +338,42 @@ def test_shelling_search_matches_set_oracle_step_for_step():
                              lambda budget: _oracle_shelling(cx, budget))
         verdicts.add(rl.is_shellable(cx) is None)
     assert verdicts == {True, False}
+
+
+# families of up to seven sets of mixed sizes, the empty set included, on at
+# most seven vertices: comparable and repeated sets too, which no complex has
+_SET_FAMILIES = st.lists(st.sets(st.integers(1, 7), max_size=7), max_size=7)
+
+
+@given(_SET_FAMILIES, st.none() | st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_single_swap_order_matches_set_oracle_step_for_step_nonpure(family, budget):
+    assert_step_for_step(lambda b: rl.single_swap_order(family, b),
+                         lambda b: oracle_single_swap_order(family, b), budget)
+
+
+def _is_single_swap_order(sets, order):
+    """The defining condition, read off the sets: for every j < i some v in
+    S_i minus S_j has S_i minus S_k = {v} for an earlier S_k."""
+    seq = [set(sets[i]) for i in order]
+    return sorted(order) == list(range(len(sets))) and all(
+        any(any(seq[i] - seq[k] == {v} for k in range(i)) for v in seq[i] - seq[j])
+        for i in range(len(seq)) for j in range(i))
+
+
+@given(_SET_FAMILIES, st.permutations(range(1, 8)), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_property_single_swap_order_invariant_under_relabelling(family, perm, rnd):
+    """Renaming the vertices keeps the index order and the step count; listing
+    the sets in another order keeps the verdict, with a witness that holds."""
+    order, steps = _with_steps(lambda: rl.single_swap_order(family))
+    renamed = [{perm[v - 1] for v in s} for s in family]
+    assert _with_steps(lambda: rl.single_swap_order(renamed)) == (order, steps)
+    shuffled = rnd.sample(family, len(family))
+    other = rl.single_swap_order(shuffled)
+    assert (other is None) == (order is None)
+    assert order is None or _is_single_swap_order(family, order)
+    assert other is None or _is_single_swap_order(shuffled, other)
 
 
 # a valid value for each required parameter after the first

@@ -20,6 +20,7 @@ import pytest
 
 import ridgeline as rl
 from oracles import (
+    oracle_chordal_hypotheses,
     oracle_clique_edge_partition,
     oracle_has_induced_star,
     oracle_minor_chase,
@@ -264,6 +265,22 @@ def test_budgeted_clique_partition_agrees_and_skips_no_more_than_oracle():
     _assert_budgeted_runs_agree(
         "clique-partition",
         lambda g, d, budget: _runs_out(oracle_clique_edge_partition, g, d, budget))
+
+
+def test_chordal_gate_matches_diameter_first_oracle():
+    """The gate tests connectivity, then chordality, then the diameter; the
+    oracle takes the diameter first. Both give the same verdict, reason and
+    diagnostic on every complex of (6, 3, <= 4) and on draws at the
+    benchmark's searches rows, and each of the four outcomes occurs."""
+    outcomes = set()
+    for corpus in (("exhaustive", 6, 3, 4), ("random", 6, 3, 5, 100),
+                   ("random", 6, 3, 7, 100), ("random", 7, 3, 6, 100)):
+        for _, cx in _iter_corpus(corpus, 5):
+            gate = _chordal_hypotheses(cx)
+            assert gate == oracle_chordal_hypotheses(cx.facets), (corpus, cx)
+            outcomes.add(gate[1] if not gate[0] else "passed")
+    assert outcomes >= {"passed", "line graph disconnected", "line graph not chordal",
+                        "line graph diameter 4 exceeds facet size 3"}
 
 
 @pytest.mark.parametrize("theorem", ["chordal-main", "dual-chordal"])
