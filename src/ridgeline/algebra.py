@@ -15,7 +15,7 @@ arithmetic, XOR on bit rows for GF(2) and exact integer combination of
 sparse rows for the rationals.
 
 The subset walks themselves (face indicators, grouping faces by
-cardinality, the vertex cap) come from ``complexes``.
+cardinality) and the size bound come from ``complexes``.
 
 A window's homology depends only on the restriction of the ideal to it, and
 restrictions repeat across the windows of one ideal and across the ideals of
@@ -43,7 +43,7 @@ from math import gcd
 from . import kernels
 from .complexes import (
     SimplicialComplex,
-    _check_ambient_cap,
+    _check_built,
     _check_complex,
     _compressed,
     _face_list,
@@ -200,13 +200,13 @@ def reduced_homology_ranks(cx: SimplicialComplex, field=FieldChoice.GF2) -> list
 
     Entry 0 is dimension -1 (nonzero only for the complex whose single face
     is empty), entry k is dimension k-1. Faces are enumerated over the
-    support, which is capped.
+    support, which is refused past MAX_BITS vertices.
     """
     _check_complex(cx)
     field = _field(field)
     verts = cx.support
     n = len(verts)
-    _check_ambient_cap(n, "reduced_homology_ranks")
+    _check_built(1 << n, "faces in the indicator of reduced_homology_ranks")
     masks = _masks_of(cx.facets, verts)
     if field is FieldChoice.GF2:
         fvec, ranks = kernels.ranks_of_facet_complex(masks, n)
@@ -305,15 +305,17 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     window's ``hom`` is the core's, padded with zeros to length |W| + 1. A
     ``hom`` enters the memo, under the window's key alone, only after its
     ranks are checked, and the memo is emptied when it reaches
-    ``_WINDOW_MEMO_CAP`` entries.
+    ``_WINDOW_MEMO_CAP`` entries. ``_check_built`` refuses the lattice past
+    2**MAX_BITS windows, after each generator, and a core past MAX_BITS
+    vertices, before its indicator is built.
     """
     supp = sorted(set().union(*ideal.generators))
-    _check_ambient_cap(len(supp), "Hochster scan")
     gen_masks = sorted(_masks_of(ideal.generators, supp))
     top = len(supp) if size is None else size
     windows = {0}
     for g in gen_masks:
         windows |= {u for w in windows if (u := w | g).bit_count() <= top}
+        _check_built(len(windows), "windows in the lcm lattice")
     windows.discard(0)
     if size is not None:
         windows = [w for w in windows if w.bit_count() == size]
@@ -330,6 +332,7 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
                 hom = (0,) * (j + 1)
             else:
                 core_key, c = core
+                _check_built(1 << c, "faces in the indicator of a window's core")
                 if field is FieldChoice.GF2:
                     fvec, ranks = kernels.ranks_of_nonface_complex(core_key, (1 << c) - 1)
                 else:

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, linegraph, betti, verify, generate. Exit codes: 0 for
 success (verify: everything confirmed), 10 when verify found counterexamples,
-2 for usage or input errors, 3 when the search budget ran out. The budget
-comes from --budget when given, else the package default.
+2 for usage or input errors, 3 when the search budget ran out or a routine
+would build more than 2**MAX_BITS cells. The budget comes from --budget when
+given, else the package default.
 """
 
 from __future__ import annotations

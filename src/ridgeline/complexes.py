@@ -15,12 +15,12 @@ Every walk over the 2**n subsets of a vertex set goes through this module:
 ``nonface_indicator`` reads the sets avoiding every generator inside a
 window off it by Alexander duality, and ``_faces_by_cardinality`` groups the
 marked faces, each keyed by its own mask, for the rank routines of both
-coefficient fields. Derived complexes take one walk, that of
-``minimal_nonfaces``: the Alexander dual reads its facets off it, and the
-independence complex is the dual of the complex of the facets' complements.
-``_check_ambient_cap`` refuses such a walk over more than ``AMBIENT_CAP``
-vertices. ``_compressed`` moves masks onto the bits of a window, for the
-non-face indicator and for the Betti scan's memo key.
+coefficient fields. Derived complexes take no such walk: ``minimal_nonfaces``
+builds minimal transversals, which the Alexander dual and the independence
+complex read. ``MAX_BITS`` is the one size bound: ``_check_cells`` refuses
+what a caller asks for, ``_check_built`` a routine's own structure (as
+``BudgetExceeded``). ``_compressed`` moves masks onto the bits of a window,
+for the non-face indicator and for the Betti scan's memo key.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
 
 Face = tuple  # strictly increasing tuple of positive integers
 
-AMBIENT_CAP = 16  # subset scans refuse larger vertex sets
 MAX_BITS = 20  # 2**20 face indicators or family cells is the most a builder will allocate
 
 
@@ -203,10 +202,10 @@ def _check_complex(cx) -> None:
         raise BadParameters(f"expected a SimplicialComplex, got {type(cx).__name__}")
 
 
-def _check_ambient_cap(n: int, what: str) -> None:
-    """Refuse a subset scan over more than AMBIENT_CAP vertices."""
-    if n > AMBIENT_CAP:
-        raise BudgetExceeded(f"{what}: a subset scan over {n} vertices exceeds the cap of {AMBIENT_CAP}")
+def _check_built(cells: int, what: str) -> None:
+    """Refuse a routine's own structure past 2**MAX_BITS cells, as a budget overrun."""
+    if cells > 1 << MAX_BITS:
+        raise BudgetExceeded(f"more than 2**{MAX_BITS} {what}")
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -218,27 +217,24 @@ def _check_cells(cells: int, what: str) -> None:
 def minimal_nonfaces(cx: SimplicialComplex) -> tuple:
     """Inclusion-minimal subsets of the ambient that are not faces.
 
-    A set S qualifies exactly when S is not a face while every S minus one
-    vertex is. The empty complex has the empty set as its minimal non-face.
+    A non-face meets every facet's complement, so these are the minimal
+    transversals of the complements (Berge, Hypergraphs, 1989), built one
+    complement e at a time from {empty set}: each t missing e gives t + v
+    per v in e, dropped if it holds a t meeting e (no two t + v nest). The
+    empty complex has the empty set as its minimal non-face.
     """
     _check_complex(cx)
     amb = cx.ambient
-    n = len(amb)
-    _check_ambient_cap(n, "minimal_nonfaces")
-    face = facet_indicator(_masks_of(cx.facets, amb), n)
-    out = []
-    for m in range(1 << n):
-        if face[m]:
-            continue
-        sub = m
-        while sub:
-            low = sub & -sub
-            if not face[m ^ low]:
-                break
-            sub ^= low
-        else:
-            out.append(_face_of(m, amb))
-    return tuple(sorted(out, key=lambda f: (len(f), f)))
+    full = (1 << len(amb)) - 1
+    family = [0]
+    for m in _masks_of(cx.facets, amb):
+        e = full ^ m
+        hit = [t for t in family if t & e]
+        bits = [1 << i for i in range(len(amb)) if e >> i & 1]
+        family = hit + [t | v for t in family if not t & e for v in bits
+                        if not any(h & (t | v) == h for h in hit)]
+        _check_built(len(family), "minimal transversals in minimal_nonfaces")
+    return tuple(sorted((_face_of(t, amb) for t in family), key=lambda f: (len(f), f)))
 
 
 def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
@@ -487,7 +483,6 @@ def independence_complex(cx: SimplicialComplex) -> SimplicialComplex:
     """
     _check_complex(cx)
     amb = cx.ambient
-    _check_ambient_cap(len(amb), "independence_complex")
     if cx.is_empty:
         return SimplicialComplex(amb, (amb,))
     comps = tuple(sorted(tuple(v for v in amb if v not in f) for f in cx.facets))

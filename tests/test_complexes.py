@@ -1,6 +1,7 @@
 """Complex construction, duals, minors, chordality, shellability."""
 
 import inspect
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from oracles import (
     oracle_nonface_indicator,
     oracle_single_swap_order,
 )
-from ridgeline.complexes import _masks_of, _simplicial_bit, _split, nonface_indicator
+from ridgeline.complexes import _masks_of, _maximal, _simplicial_bit, _split, nonface_indicator
 from ridgeline.errors import Budget
 
 CHAIN5 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]
@@ -120,27 +121,40 @@ def test_subset_scans_match_oracles_exhaustive():
             assert nonface_indicator(masks, w_mask) == oracle_nonface_indicator(masks, w_mask)
 
 
-def test_subset_scans_refuse_above_the_cap():
+def test_subset_scans_refuse_above_the_cap(monkeypatch):
+    """MAX_BITS bounds what a routine builds, not the vertex count: the duals
+    are minimal transversals, and the Betti scan builds the lcm lattice and
+    one indicator per window core."""
+    from ridgeline import complexes
+
     big = tuple(range(1, 18))
-    with pytest.raises(rl.BudgetExceeded):
-        rl.minimal_nonfaces(rl.SimplicialComplex(big, ((1, 2),)))
-    with pytest.raises(rl.BudgetExceeded):
-        rl.independence_complex(rl.SimplicialComplex(big, ((1, 2),)))
-    # the Betti scan walks the generator support, so its cap counts those
-    # vertices and not the ambient
+    edge = rl.SimplicialComplex(big, ((1, 2),))
+    assert rl.minimal_nonfaces(edge) == tuple((v,) for v in big[2:])
+    assert rl.independence_complex(edge).facets == ((1,) + big[2:], big[1:])
+    # the 16-edge path on 17 vertices: 16 generators, 15 adjacent pairs and
+    # 91 induced pairs of disjoint edges (105 disjoint pairs, less the 14
+    # joined by an edge)
     path = rl.monomial_ideal([(i, i + 1) for i in range(1, 17)])
-    with pytest.raises(rl.BudgetExceeded):
-        rl.betti_table(path)
-    with pytest.raises(rl.BudgetExceeded):
-        rl.beta_in_degree(path, 1, 2)
+    table = rl.betti_table(path).as_dict()
+    assert (table[(1, 2)], table[(2, 3)], table[(2, 4)]) == (16, 15, 91)
+    assert rl.beta_in_degree(path, 1, 2) == 16
     ideal = rl.monomial_ideal([(1, 2), (2, 3)], ambient=big)
     assert rl.betti_table(ideal).as_dict() == {(1, 2): 2, (2, 3): 1}
     assert rl.beta_in_degree(ideal, 1, 2) == 2
     assert rl.has_linear_resolution(ideal)
     assert rl.analyze(rl.from_facets([(1, 2, 3), (2, 3, 4)], ambient=big))["beta2"]["oracle"] == 1
-    # sixteen vertices are still scanned
-    assert rl.minimal_nonfaces(rl.SimplicialComplex(big[:16], ((1, 2),)))[0] == (3,)
-    assert rl.beta_in_degree(rl.monomial_ideal([(i, i + 1) for i in range(1, 16)]), 1, 2) == 15
+    # the bound lowered to 2**6 cells keeps the refusals cheap: n disjoint
+    # edges span 2**n lattice windows, the empty one included, and a single
+    # generator of n vertices is its own core of n vertices
+    monkeypatch.setattr(complexes, "MAX_BITS", 6)
+    disjoint = rl.monomial_ideal([(2 * i - 1, 2 * i) for i in range(1, 22)])
+    with pytest.raises(rl.BudgetExceeded, match=r"more than 2\*\*6 windows"):
+        rl.betti_table(disjoint)
+    six = rl.monomial_ideal(disjoint.generators[:6])
+    assert rl.betti_table(six).as_dict() == {(i, 2 * i): comb(6, i) for i in range(1, 7)}
+    with pytest.raises(rl.BudgetExceeded, match=r"more than 2\*\*6 faces"):
+        rl.betti_table(rl.monomial_ideal([range(1, 8)]))
+    assert rl.betti_table(rl.monomial_ideal([range(1, 7)])).as_dict() == {(1, 6): 1}
 
 
 def test_alexander_dual_known():
@@ -435,6 +449,22 @@ def test_independence_complex_and_clutter():
     ind = rl.independence_complex(cx)
     assert ind.ambient == cx.ambient and ind.facets == ((1, 3), (2,))
     assert rl.minimal_nonfaces(ind) == cx.facets
+    # past the 2**n walk the duals replaced: 8 triangles on 20 vertices
+    cx = rl.random_pure_complex(20, 3, 8, 0)
+    assert rl.minimal_nonfaces(rl.independence_complex(cx)) == cx.facets
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2), st.lists(st.frozensets(st.integers(1, n)), max_size=8))))
+@settings(max_examples=80, deadline=None)
+def test_property_minimal_nonfaces_match_oracle(case):
+    # non-pure families on at most ten vertices, with up to two ambient
+    # vertices in no facet
+    n, extra, faces = case
+    amb = tuple(range(1, n + extra + 1))
+    cx = rl.SimplicialComplex(amb, _maximal(tuple(sorted(f)) for f in faces))
+    expected = oracle_minimal_nonfaces(cx.facets, amb)
+    assert rl.minimal_nonfaces(cx) == tuple(sorted(expected, key=lambda f: (len(f), f)))
 
 
 @given(st.integers(4, 7), st.integers(2, 3), st.integers(1, 5), st.integers(0, 10 ** 6))

@@ -104,9 +104,18 @@ def test_property_homology_matches_oracle(n, d, r, seed):
     assert rl.reduced_homology_ranks(cx, "rational") == oracle_homology(cx.facets, "rat")
 
 
-def test_support_cap_raises():
-    with pytest.raises(rl.BudgetExceeded):
-        rl.reduced_homology_ranks(rl.from_facets([list(range(1, 18))]))
+def test_support_cap_raises(monkeypatch):
+    """A support past MAX_BITS vertices is refused as an exhausted budget
+    before its 2**n face indicator is built."""
+    from ridgeline import complexes
+
+    with pytest.raises(rl.BudgetExceeded, match=r"more than 2\*\*20 faces"):
+        rl.reduced_homology_ranks(rl.from_facets([list(range(1, 22))]))
+    monkeypatch.setattr(complexes, "MAX_BITS", 6)
+    for field in ("gf2", "rational"):
+        assert rl.reduced_homology_ranks(rl.from_facets([range(1, 7)]), field) == [0] * 7
+        with pytest.raises(rl.BudgetExceeded, match=r"more than 2\*\*6 faces"):
+            rl.reduced_homology_ranks(rl.from_facets([range(1, 8)]), field)
 
 
 def _homology(fvec, ranks):

@@ -276,6 +276,16 @@ def test_property_beta2_closed_form(n, d, r, seed):
     assert _closed_form_agrees(rl.random_pure_complex(n, d, r, seed))
 
 
+def test_beta2_closed_form_past_sixteen_vertices():
+    # the scan is bounded by what it builds, so supports of 20 and 24
+    # vertices answer, and betti2 runs every draw as a trial
+    for n, d, r in ((20, 4, 60), (24, 3, 60)):
+        for seed in range(3):
+            assert _closed_form_agrees(rl.random_pure_complex(n, d, r, seed)), (n, d, r, seed)
+    rep = rl.verify("betti2", ("random", 20, 4, 60, 5), stable_time=True)
+    assert (rep.trials, rep.skips) == (5, ())
+
+
 def test_linear_resolution_examples():
     # complement of C4 is chordal (two disjoint edges), so its edge ideal
     # has a linear resolution; C5 is self-complementary and does not

@@ -166,6 +166,31 @@ def test_nonpure_file_becomes_skip(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_lattice_past_the_bound_is_a_skip_and_cli_exit_3(tmp_path, monkeypatch, capsys):
+    """An instance whose lcm lattice passes 2**MAX_BITS windows is skipped as
+    an exhausted budget and the run goes on; ``betti --table`` on it exits 3.
+    The bound is lowered to 2**6 first, so the lattice of K8's edges, every
+    set of two or more of its eight vertices, passes it cheaply."""
+    from itertools import combinations
+
+    from ridgeline import complexes
+
+    wide = tmp_path / "k8.txt"
+    wide.write_text("".join(f"{a} {b}\n" for a, b in combinations(range(1, 9), 2)))
+    small = tmp_path / "p3.txt"
+    small.write_text("1 2\n2 3\n")
+    monkeypatch.setattr(complexes, "MAX_BITS", 6)
+    rep = verify("froberg", ("files", (str(wide), str(small))), stable_time=True)
+    assert rep.instances == 2 and rep.confirmations == 1 and len(rep.skips) == 1
+    assert rep.skips[0]["reason"].startswith("budget exceeded: more than 2**6 windows")
+    assert main(["verify", "--theorem", "froberg", "--files", str(wide), "--stable-output"]) == 0
+    capsys.readouterr()
+    assert main(["betti", str(wide), "--table"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exceeded: more than 2**6 windows")
+    assert main(["betti", str(small), "--table"]) == 0
+
+
 def test_betti2_tabulation_holds_every_reading_with_no_trial(tmp_path):
     """The interpretation counts start at zero and stay there when no
     instance is evaluated: an empty random corpus, or a files corpus whose
