@@ -352,7 +352,8 @@ def _ridge_graph(cx: SimplicialComplex) -> Graph:
     """Facet adjacency by ridge intersections; total even at facet size 1
     (the complete graph K_r), where it agrees with the line-graph definition
     but the constructor with its size floor does not run."""
-    return Graph.from_adj(_ridge_adjacency(cx)[2])
+    facet_size(cx)
+    return Graph.from_adj(_ridge_rows(cx.facets, cx.ambient))
 
 
 def _chordal_hypotheses(cx: SimplicialComplex):
@@ -375,12 +376,13 @@ def _chordal_hypotheses(cx: SimplicialComplex):
 
 
 def _check_deltac(cx, field, budget):
-    d, masks, rows = _ridge_adjacency(cx)
-    full = (1 << len(cx.ambient)) - 1
-    if full in masks:
+    if facet_size(cx) == len(cx.ambient):
         complement_complex(cx)  # refuses the degenerate complement; verify skips
-    # complement facet i is full ^ masks[i], so both sides share one facet order
-    crows = _ridge_rows([full ^ m for m in masks], len(cx.ambient) - d - 1)
+    rows = _ridge_rows(cx.facets, cx.ambient)
+    # complement facet i is the ambient minus facet i, so both sides share
+    # one facet order
+    ambient = frozenset(cx.ambient)
+    crows = _ridge_rows([ambient.difference(f) for f in cx.facets], cx.ambient)
     mismatch = _first_row_mismatch(rows, crows)
     if mismatch is None:
         return CONFIRMED, None
@@ -473,23 +475,35 @@ def _check_star_free(cx, field, budget):
 
 
 def _check_clique_partition(cx, field, budget):
+    """The partition is checked on adjacency rows: bit (b-1) of
+    ``covered[a-1]`` is set once a clique has covered the pair {a, b}. A
+    pair covered twice is reported as the first, in ``combinations`` order,
+    of the first clique that repeats one; the covered rows must then equal
+    the line graph's and no vertex may lie in more than d cliques. The
+    cliques are ascending vertex tuples, as ``clique_edge_partition``
+    returns them."""
     d = facet_size(cx)
     g = _ridge_graph(cx)
     part = clique_edge_partition(g, d, budget)
     if part is None:
         return COUNTEREXAMPLE, {"per_vertex_cap": d, "partition": None}
-    counts = [0] * (g.order + 1)
-    covered = set()
+    counts = [0] * g.order
+    covered = [0] * g.order
     for clique in part:
+        mask = 0
         for v in clique:
-            counts[v] += 1
-        for e in combinations(clique, 2):
-            if e in covered:
-                return COUNTEREXAMPLE, {"invalid": "edge covered twice", "edge": list(e)}
-            covered.add(e)
-    if covered != set(g.edges()) or any(c > d for c in counts):
+            mask |= 1 << v - 1
+        for a in clique:
+            counts[a - 1] += 1
+            twice = covered[a - 1] & mask >> a << a  # pairs {a, b}, b > a
+            if twice:
+                return COUNTEREXAMPLE, {"invalid": "edge covered twice",
+                                        "edge": [a, (twice & -twice).bit_length()]}
+        for a in clique:
+            covered[a - 1] |= mask ^ 1 << a - 1
+    if tuple(covered) != g.adj or any(c > d for c in counts):
         return COUNTEREXAMPLE, {"invalid": "not a partition within the cap"}
-    return CONFIRMED, {"cliques": [list(c) for c in part]}
+    return CONFIRMED, None
 
 
 def _check_c3(cx, field, budget):

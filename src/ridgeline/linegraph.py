@@ -6,17 +6,24 @@ The line graph of a pure complex with facets of size d has one vertex per
 facet (numbered 1..r in canonical facet order) and an edge exactly when two
 facets meet in d-1 vertices.
 
-Everything here works on one bitmask form. Facet i is the mask m_i whose bit
-p stands for the p-th ambient vertex (the rule of ``complexes._masks_of``),
-and ``_ridge_adjacency`` sets bit j of row i exactly when popcount(m_i & m_j)
-== d - 1. The line graph is built from those rows, ``graphs.triangles`` reads
-the triangles off them, and the triple intersection of a triangle is
-popcount(m_i & m_j & m_k). The complement of facet i in the ambient is m_i
-XOR the full ambient mask, in the same facet order, so the deltac statement
-reads the complement's rows off the same masks through ``_ridge_rows``. The
+Rows come from vertex holders. ``_ridge_rows`` gives each vertex v the mask
+of the facets holding v, and walks the d vertices of facet i keeping the
+facets that hold all of them so far and those that miss at most one; row i
+is the facets that miss exactly one, so bit j of row i is set exactly when
+facets i and j meet in d-1 vertices. That costs O(r*d) mask operations, with
+no loop over pairs of facets. The deltac statement builds the complement's
+rows the same way, from the complements of the facets in the same facet
+order. The line graph is built from those rows, and ``graphs.triangles``
+reads the triangles off them.
+
+Facets are also bitmasks: facet i is the mask m_i whose bit p stands for the
+p-th ambient vertex (the rule of ``complexes._masks_of``). The triple
+intersection of a triangle is popcount(m_i & m_j & m_k), and ``_edge_total``
+counts the ridge pairs pair by pair as popcount(m_i & m_j) == d - 1, so the
+edge count checks the holder rows against an independent route. The
 realizability search builds its candidate facets as such masks over the
-vertices 1..n it has used, and checks each by the same popcount rule
-against the facets chosen before it.
+vertices 1..n it has used, and checks each one incrementally by the same
+popcount rule against the facets chosen before it.
 
 One pass per complex: ``_ridge_adjacency`` runs once, and every reading is
 taken from its output ``(d, masks, rows)`` by a helper on those rows:
@@ -87,27 +94,41 @@ def _ridge_adjacency(cx: SimplicialComplex) -> tuple:
     """(d, masks, rows) of a pure complex, any facet size d >= 1.
 
     masks[i] is facet i as a bitmask over the ambient (bit p for the p-th
-    ambient vertex), so the complement of facet i is its XOR with the full
-    ambient mask; rows are ``_ridge_rows(masks, d - 1)``. At d = 1 every two
-    facets are adjacent. Raises like ``facet_size`` on empty or non-pure
-    input.
+    ambient vertex), for the readings that intersect facets; rows are
+    ``_ridge_rows(cx.facets, cx.ambient)``, which never reads the masks. At
+    d = 1 every two facets are adjacent. Raises like ``facet_size`` on empty
+    or non-pure input.
     """
     d = facet_size(cx)
-    masks = _masks_of(cx.facets, cx.ambient)
-    return d, masks, _ridge_rows(masks, d - 1)
+    return d, _masks_of(cx.facets, cx.ambient), _ridge_rows(cx.facets, cx.ambient)
 
 
-def _ridge_rows(masks: list, ridge: int) -> tuple:
-    """Bit j of row i is set exactly when popcount(masks[i] & masks[j]) ==
-    ridge, for i != j."""
-    r = len(masks)
-    rows = [0] * r
-    for i in range(r):
-        mi = masks[i]
-        for j in range(i + 1, r):
-            if (mi & masks[j]).bit_count() == ridge:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+def _ridge_rows(faces, vertices) -> tuple:
+    """Bit j of row i is set exactly when face j misses exactly one vertex
+    of face i; for faces of one size, exactly when they meet in a ridge.
+
+    Every vertex of a face must be in ``vertices``. Bit j of ``holders[v]``
+    is set when face j holds v. Walking the vertices of face i, ``every``
+    keeps the faces holding all of them so far and ``near`` those missing at
+    most one, so row i is ``near ^ every``. Face i holds its own vertices and
+    so stays out of its own row. That is O(r*d) mask operations for r faces
+    of size d.
+    """
+    holders = dict.fromkeys(vertices, 0)
+    bit = 1
+    for face in faces:
+        for v in face:
+            holders[v] |= bit
+        bit <<= 1
+    full = bit - 1
+    rows = []
+    for face in faces:
+        every = near = full
+        for v in face:
+            h = holders[v]
+            near = near & h | every
+            every &= h
+        rows.append(near ^ every)
     return tuple(rows)
 
 
@@ -144,8 +165,8 @@ def edge_count_formula(cx: SimplicialComplex) -> int:
 def _edge_total(d: int, masks: list, rows: tuple) -> int:
     """``edge_count_formula`` on the output of ``_ridge_adjacency``.
 
-    The ridge pairs are counted pair by pair on the masks, apart from the
-    rows, and the rows' degree sum must be twice that count.
+    The ridge pairs are counted pair by pair on the masks, a route apart
+    from the holder rows, and the rows' degree sum must be twice that count.
     """
     ridge = d - 1
     total = 0

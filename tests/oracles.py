@@ -14,10 +14,11 @@ triangle types, complete shapes) from pairwise intersections of facet sets,
 and the chordal statements' hypothesis gate on that line graph in its
 diameter-first order.
 Clique edge partitions come from the earlier edge-indexed search, which the
-package's residual-row search must match in no more steps. The single-swap
-order (shelling, linear quotients) and realizability searches come from their
-earlier set-based forms, which the package's bitmask searches must match
-step for step.
+package's residual-row search must match in no more steps, and are validated
+by the earlier set-of-edges check, which the row-based check must match. The
+single-swap order (shelling, linear quotients) and realizability searches
+come from their earlier set-based forms, which the package's bitmask searches
+must match step for step.
 Slow on purpose; use only at unit-test scale. ``clear_window_memos`` gives
 the package's own cold route: a Betti scan after it takes every rank afresh.
 """
@@ -669,6 +670,26 @@ def oracle_clique_edge_partition(g, max_per_vertex, budget=None):
         chosen.reverse()
         return tuple(chosen), b.used
     return None, b.used
+
+
+def oracle_check_clique_partition(g, part, cap):
+    """The clique-partition statement's earlier validation of a partition on
+    a set of edge tuples, kept as the reference for the row-based check in
+    ``harness._check_clique_partition``: ``(status, diagnostic)``, with the
+    first pair covered twice in partition and ``combinations`` order, else a
+    mismatch of the covered set with the edges or a vertex over the cap."""
+    counts = [0] * (g.order + 1)
+    covered = set()
+    for clique in part:
+        for v in clique:
+            counts[v] += 1
+        for e in combinations(clique, 2):
+            if e in covered:
+                return "counterexample", {"invalid": "edge covered twice", "edge": list(e)}
+            covered.add(e)
+    if covered != set(g.edges()) or any(c > cap for c in counts):
+        return "counterexample", {"invalid": "not a partition within the cap"}
+    return "confirmed", {"cliques": [list(c) for c in part]}
 
 
 def oracle_has_induced_star(g, leaves, budget=None):

@@ -11,13 +11,15 @@ import ridgeline as rl
 from oracles import (
     all_labeled_graphs,
     oracle_chordal_graph,
+    oracle_check_clique_partition,
     oracle_clique_edge_partition,
     oracle_cycle_lengths,
     oracle_has_induced_star,
     oracle_induced_cycle_lengths,
     oracle_triangles,
 )
-from ridgeline.harness import _iter_corpus, _ridge_graph
+from ridgeline import harness
+from ridgeline.harness import _check_clique_partition, _iter_corpus, _ridge_graph
 
 
 def test_graph_basics():
@@ -275,6 +277,41 @@ def test_clique_partition_matches_oracle_on_ridge_graphs():
         for _, cx in _iter_corpus(corpus, seed):
             pruned += _assert_partition_matches_oracle(_ridge_graph(cx), rl.facet_size(cx))
     assert pruned > 0
+
+
+# facets (1,2) (1,3) (2,3) (3,4) (4,5): two triangles 123 and 234 and the
+# pendant edge 45, at cap d = 2
+PARTITION_CX = rl.from_facets([[1, 2], [2, 3], [3, 4], [1, 3], [4, 5]])
+TWICE = "edge covered twice"
+INVALID = {"invalid": "not a partition within the cap"}
+
+
+@pytest.mark.parametrize("part, expected", [
+    (((1, 2), (1, 3), (2, 3, 4), (4, 5)), None),
+    # two pairs repeated: (2, 3) in the second clique comes first, though
+    # (1, 2) is smaller
+    (((1, 2, 3), (2, 3, 4), (1, 2), (4, 5)), {"invalid": TWICE, "edge": [2, 3]}),
+    # a clique repeating (1, 2) and (1, 3) reports the first in
+    # combinations order
+    (((1, 2, 3), (2, 4), (1, 2, 3, 4), (4, 5)), {"invalid": TWICE, "edge": [1, 2]}),
+    (((1, 3, 4), (1, 2, 4), (2, 3), (4, 5)), {"invalid": TWICE, "edge": [1, 4]}),
+    (((1, 2), (1, 3), (2, 3, 4)), INVALID),  # the edge 45 is missing
+    (((1, 2), (1, 3), (2, 3, 4), (4, 5), (3, 5)), INVALID),  # 35 is no edge
+    (((1, 2, 3), (2, 4), (3, 4), (4, 5)), INVALID),  # vertex 4 in three cliques
+])
+def test_clique_partition_check_matches_set_oracle(monkeypatch, part, expected):
+    """The statement validates the partition it is handed on rows; crafted
+    partitions get the diagnostic of the set-based validation, and a valid
+    one is confirmed with no diagnostic."""
+    g = _ridge_graph(PARTITION_CX)
+    assert g.edges() == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5))
+    monkeypatch.setattr(harness, "clique_edge_partition", lambda g, cap, budget: part)
+    got = _check_clique_partition(PARTITION_CX, None, None)
+    want = oracle_check_clique_partition(g, part, 2)
+    if expected is None:
+        assert got == ("confirmed", None) and want[0] == "confirmed"
+    else:
+        assert got == want == ("counterexample", expected)
 
 
 @st.composite

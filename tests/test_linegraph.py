@@ -18,7 +18,6 @@ from oracles import (
     oracle_ridge_edges,
 )
 from ridgeline import harness, linegraph
-from ridgeline.complexes import _masks_of
 from ridgeline.harness import (
     _INTERPS,
     _check_betti2,
@@ -333,6 +332,22 @@ def test_line_graph_layer_matches_oracles_sparse(cx):
     _assert_line_graph_layer_matches_oracles(cx)
 
 
+def test_ridge_rows_match_oracle_at_census_sizes():
+    """The holder builder against pairwise set intersections on draws at
+    the census sizes, for the facets and for their complements in facet
+    order, as deltac builds them."""
+    for n, d, r in ((12, 3, 30), (16, 5, 50), (10, 3, 60), (20, 4, 100)):
+        for seed in range(3):
+            cx = rl.random_pure_complex(n, d, r, seed)
+            complements = [frozenset(cx.ambient).difference(f) for f in cx.facets]
+            for faces in (cx.facets, complements):
+                want = [0] * len(faces)
+                for i, j in oracle_ridge_edges(faces):
+                    want[i - 1] |= 1 << j - 1
+                    want[j - 1] |= 1 << i - 1
+                assert linegraph._ridge_rows(faces, cx.ambient) == tuple(want)
+
+
 def _count_adjacencies(monkeypatch) -> list:
     """Record each complex that ``_ridge_adjacency`` runs on, whether the
     harness or the line-graph layer calls it."""
@@ -385,20 +400,26 @@ def test_deltac_reports_first_disagreeing_pair(monkeypatch):
     disagreement of the set-based adjacencies under the same flips, the
     complements taken in the complex's facet order."""
     cx = rl.from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5], [1, 2, 6]])
+    complements = [{v for v in cx.ambient if v not in f} for f in cx.facets]
     left = set(oracle_ridge_edges(cx.facets))
-    right = set(oracle_ridge_edges([[v for v in cx.ambient if v not in f] for f in cx.facets]))
+    right = set(oracle_ridge_edges(complements))
     ridge_rows = harness._ridge_rows
     for flips in ([(2, 4)], [(4, 5), (1, 3)], [(1, 2), (2, 3)], [(3, 5), (1, 5)]):
         flipped = right ^ set(flips)
+        sides = []
 
-        def fake(masks, ridge, flips=flips):
-            rows = list(ridge_rows(masks, ridge))
-            for a, b in flips:
-                rows[a - 1] ^= 1 << b - 1
-                rows[b - 1] ^= 1 << a - 1
+        def fake(faces, vertices, flips=flips, sides=sides):
+            assert vertices == cx.ambient
+            rows = list(ridge_rows(faces, vertices))
+            faces = [set(f) for f in faces]
+            sides.append(faces)
+            if faces == complements:
+                for a, b in flips:
+                    rows[a - 1] ^= 1 << b - 1
+                    rows[b - 1] ^= 1 << a - 1
             return tuple(rows)
 
-        # the harness calls _ridge_rows only for the complement side
+        # only the complement side, its faces in facet order, gets the flips
         monkeypatch.setattr(harness, "_ridge_rows", fake)
         expected = None
         for i, j in [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]:
@@ -411,6 +432,7 @@ def test_deltac_reports_first_disagreeing_pair(monkeypatch):
                 break
         assert expected is not None
         assert _check_deltac(cx, None, None) == expected, flips
+        assert sides == [[set(f) for f in cx.facets], complements]
 
 
 def test_first_row_mismatch_matches_pair_loop():
@@ -442,16 +464,31 @@ def test_first_row_mismatch_matches_pair_loop():
 
 
 def _assert_complement_masks(cx):
-    """The complement facets deltac reads off the ridge-adjacency masks are
-    those of ``complement_complex``, which refuses exactly when one mask is
-    the full ambient."""
-    full = (1 << len(cx.ambient)) - 1
-    masks = _ridge_adjacency(cx)[1]
-    if full in masks:
-        with pytest.raises(rl.DegenerateComplement):
-            rl.complement_complex(cx)
-        return
-    assert {full ^ m for m in masks} == set(_masks_of(rl.complement_complex(cx).facets, cx.ambient))
+    """The complement faces deltac builds, in facet order, are the facets of
+    ``complement_complex`` in the same order, and deltac refuses exactly
+    when ``complement_complex`` does."""
+    built = []
+
+    def recorded(faces, vertices):
+        built.append([tuple(sorted(f)) for f in faces])
+        return linegraph._ridge_rows(faces, vertices)
+
+    try:
+        comp = rl.complement_complex(cx).facets
+    except rl.DegenerateComplement:
+        comp = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_ridge_rows", recorded)
+        if comp is None:
+            with pytest.raises(rl.DegenerateComplement):
+                _check_deltac(cx, None, None)
+            assert built == []
+            return
+        assert _check_deltac(cx, None, None) == ("confirmed", None)
+    assert built[0] == list(cx.facets)
+    assert sorted(built[1]) == list(comp)
+    # complement_complex sorts; complement i is still facet i's complement
+    assert built[1] == [tuple(v for v in cx.ambient if v not in f) for f in cx.facets]
 
 
 def test_complement_masks_match_complement_complex_exhaustive():
