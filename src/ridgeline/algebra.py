@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from . import kernels
+from . import complexes, kernels
 from .complexes import (
     SimplicialComplex,
     _check_built,
@@ -305,17 +305,29 @@ def _hochster_scan(ideal: MonomialIdeal, field: FieldChoice, size=None):
     window's ``hom`` is the core's, padded with zeros to length |W| + 1. A
     ``hom`` enters the memo, under the window's key alone, only after its
     ranks are checked, and the memo is emptied when it reaches
-    ``_WINDOW_MEMO_CAP`` entries. ``_check_built`` refuses the lattice past
-    2**MAX_BITS windows, after each generator, and a core past MAX_BITS
-    vertices, before its indicator is built.
+    ``_WINDOW_MEMO_CAP`` entries. ``_check_built`` refuses the lattice as
+    soon as it passes 2**MAX_BITS windows, within the generator step that
+    passes it, and a core past MAX_BITS vertices, before its indicator is
+    built.
     """
     supp = sorted(set().union(*ideal.generators))
     gen_masks = sorted(_masks_of(ideal.generators, supp))
     top = len(supp) if size is None else size
+    half = 1 << complexes.MAX_BITS - 1
     windows = {0}
     for g in gen_masks:
-        windows |= {u for w in windows if (u := w | g).bit_count() <= top}
-        _check_built(len(windows), "windows in the lcm lattice")
+        # a step at most doubles the set, so one that stays within the bound
+        # needs no check; any other adds its windows one at a time, each
+        # checked, so a refused lattice is never built past the bound
+        if len(windows) <= half:
+            windows |= {u for w in windows if (u := w | g).bit_count() <= top}
+            continue
+        grown = set()
+        for w in windows:
+            if (u := w | g) not in windows and u.bit_count() <= top:
+                grown.add(u)
+                _check_built(len(windows) + len(grown), "windows in the lcm lattice")
+        windows |= grown
     windows.discard(0)
     if size is not None:
         windows = [w for w in windows if w.bit_count() == size]

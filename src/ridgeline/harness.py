@@ -168,9 +168,25 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
 
     Deterministic per seed; the ambient is the full vertex set {1..n}.
     Refuses, before any binomial is computed, a draw whose binomial table
-    would hold more than 2**MAX_BITS cells.
+    would hold more than 2**MAX_BITS cells. This is the one-seed case of
+    ``_random_draw``, the draw a random corpus makes for each of its trials.
     """
     for what, value in (("n", n), ("d", d), ("r", r), ("seed", seed)):
+        _check_int(value, what)
+    return _random_draw(n, d, r)(seed)
+
+
+def _random_draw(n: int, d: int, r: int):
+    """Check (n, d, r) and set up their draws, once; return ``draw(seed)``,
+    which makes ``random_pure_complex(n, d, r, seed)`` for an int seed.
+
+    Everything here depends on (n, d, r) alone, so a corpus runs it once and
+    then pays only the seeding, the sample, its sort and the unranking per
+    trial. ``rng.seed(s)`` leaves the generator as ``random.Random(s)`` would
+    make it. Nothing is kept across draws but the set-up: no drawn facet is
+    memoized, so a long corpus holds no more than its last complex.
+    """
+    for what, value in (("n", n), ("d", d), ("r", r)):
         _check_int(value, what)
     if d < 1 or n < d:
         raise BadParameters("need 1 <= d <= n")
@@ -180,16 +196,24 @@ def random_pure_complex(n: int, d: int, r: int, seed: int) -> SimplicialComplex:
         raise BadParameters(f"C({n},{d}) d-subsets are too many to index")
     if not 1 <= r <= top:
         raise BadParameters(f"need 1 <= r <= C({n},{d}) = {top}")
-    rng = random.Random(seed)
-    table = _binomials(n, d)
-    # sampling indices draws exactly what sampling the list of all d-subsets
-    # in lexicographic order would, without building that list; unranking
-    # keeps that order, so sorted ranks give sorted facets, and distinct
-    # sorted d-subsets form an antichain, so no re-maximalization
-    ranks = rng.sample(range(top), r)
-    ranks.sort()
-    facets = tuple([_unrank_subset(k, n, d, table) for k in ranks])
-    return SimplicialComplex(tuple(range(1, n + 1)), facets)
+    pool = range(top)
+    last = top - 1
+    rows = _binomials(n, d)
+    ambient = tuple(range(1, n + 1))
+    rng = random.Random()
+
+    def draw(seed: int) -> SimplicialComplex:
+        rng.seed(seed)
+        # sampling indices draws exactly what sampling the list of all
+        # d-subsets in lexicographic order would, without building that
+        # list; unranking keeps that order, so sorted ranks give sorted
+        # facets, and distinct sorted d-subsets form an antichain, so no
+        # re-maximalization
+        ranks = rng.sample(pool, r)
+        ranks.sort()
+        return SimplicialComplex(ambient, tuple([_unrank_subset(last - k, n, rows) for k in ranks]))
+
+    return draw
 
 
 def _binomial_capped(n: int, k: int, cap: int) -> int:
@@ -205,28 +229,30 @@ def _binomial_capped(n: int, k: int, cap: int) -> int:
 
 
 def _binomials(n: int, d: int) -> list:
-    """Rows ``table[j][m] = C(m, j)`` for j <= d and m < n."""
-    table = [[1] * n]
+    """Rows ``[C(m, j) for m < n]`` for j = d, d - 1, .., 1: the order in
+    which ``_unrank_subset`` reads them."""
+    row = [1] * n
+    rows = []
     for _ in range(d):
         # hockey stick: C(m, j) is the sum of C(i, j - 1) over i < m
-        table.append([0, *accumulate(table[-1][:-1])])
-    return table
+        row = [0, *accumulate(row[:-1])]
+        rows.append(row)
+    rows.reverse()
+    return rows
 
 
-def _unrank_subset(k: int, n: int, d: int, table: list) -> tuple:
-    """The k-th d-subset of {1..n} in lexicographic order, counting from 0;
-    ``table`` is ``_binomials(n, d)``.
+def _unrank_subset(corank: int, n: int, rows: list) -> tuple:
+    """The d-subset of {1..n} with lexicographic rank C(n, d) - 1 - corank,
+    counting from 0; ``rows`` is ``_binomials(n, d)``.
 
     The subset a_1 < .. < a_d has rank C(n, d) - 1 - sum C(n - a_i, d + 1 - i),
     and that sum is the co-rank written in the combinatorial number system:
     n - a_i is the largest m with C(m, d + 1 - i) at most what is left of it.
     """
-    left = table[d][n - 1] + table[d - 1][n - 1] - 1 - k  # C(n, d) - 1 - k
     out = []
-    for j in range(d, 0, -1):
-        row = table[j]
-        m = bisect_right(row, left) - 1
-        left -= row[m]
+    for row in rows:
+        m = bisect_right(row, corank) - 1
+        corank -= row[m]
         out.append(n - m)
     return tuple(out)
 
@@ -376,6 +402,16 @@ def _chordal_hypotheses(cx: SimplicialComplex):
 
 
 def _check_deltac(cx, field, budget):
+    """Compare the ridge rows of the facets with those of their complements.
+
+    The statement is an identity, so on the pure input that reaches the
+    comparison it confirms every instance. With n = |A| for the ambient A
+    and every facet of size d, the complement faces C_i = A - F_i have
+    n - d vertices and |C_i & C_j| = n - |F_i | F_j| = n - 2d + |F_i & F_j|.
+    So C_i and C_j share a ridge, |C_i & C_j| = n - d - 1, exactly when
+    |F_i & F_j| = d - 1, that is when F_i and F_j do. Both sides are still
+    built and compared, so a fault in either row build shows here.
+    """
     if facet_size(cx) == len(cx.ambient):
         complement_complex(cx)  # refuses the degenerate complement; verify skips
     rows = _ridge_rows(cx.facets, cx.ambient)
@@ -682,10 +718,12 @@ def _iter_corpus(corpus, seed, budget=None):
         _, n, d, r, trials = corpus
         if trials < 0:
             raise BadParameters("trial count must be nonnegative")
-        for t in range(trials):
-            sub_seed = seed * 1_000_003 + t
-            cx = random_pure_complex(n, d, r, sub_seed)
-            yield f"random-{n}-{d}-{r}-seed{sub_seed}", cx
+        # a corpus of no trials draws nothing, so it refuses no (n, d, r)
+        if trials > 0:
+            _check_int(seed, "seed")
+            draw = _random_draw(n, d, r)
+            for sub_seed in range(seed * 1_000_003, seed * 1_000_003 + trials):
+                yield f"random-{n}-{d}-{r}-seed{sub_seed}", draw(sub_seed)
     elif kind == "exhaustive":
         _, n, d, r_max = corpus
         for cx in enumerate_pure_complexes(n, d, r_max, budget):

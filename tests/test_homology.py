@@ -118,6 +118,38 @@ def test_support_cap_raises(monkeypatch):
             rl.reduced_homology_ranks(rl.from_facets([range(1, 8)]), field)
 
 
+def test_lattice_past_the_bound_is_refused_before_it_is_built(monkeypatch):
+    """The lcm lattice of k disjoint edges has 2**k windows, and one more
+    edge doubles it. Under a bound of 2**12 windows, 13 edges are refused
+    with the usual message while the lattice is grown, not after a step
+    has built all 2**13: the scan's peak allocation stays below twice that
+    of one set of 2**12 windows (a scan that built the doubled set peaked
+    at four times it)."""
+    import tracemalloc
+
+    from ridgeline import complexes
+
+    monkeypatch.setattr(complexes, "MAX_BITS", 12)
+    ideal = rl.facet_ideal(rl.from_facets([[2 * i + 1, 2 * i + 2] for i in range(13)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(rl.BudgetExceeded, match=r"^more than 2\*\*12 windows in the lcm lattice$"):
+            rl.betti_table(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        windows = set(range(1 << 25, (1 << 25) + (1 << 12)))
+        one_set = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 1 << 12
+    assert peak < 2 * one_set, (peak, one_set)
+    # the lattice of 12 edges, exactly 2**12 windows, is built; it is the
+    # core of its 24-vertex window that is then refused
+    twelve = rl.facet_ideal(rl.from_facets([[2 * i + 1, 2 * i + 2] for i in range(12)]))
+    with pytest.raises(rl.BudgetExceeded, match=r"2\*\*12 faces in the indicator of a window's core"):
+        rl.betti_table(twelve)
+
+
 def _homology(fvec, ranks):
     """Reduced homology ranks in dimensions -1..dim from a rank routine's
     output, in the oracle's shape ([] for the complex with no faces)."""

@@ -97,9 +97,10 @@ def test_unrank_subset_follows_combinations_order():
 
     for n in range(1, 10):
         for d in range(1, n + 1):
-            table = _binomials(n, d)
-            assert table == [[comb(m, j) for m in range(n)] for j in range(d + 1)]
-            got = [_unrank_subset(k, n, d, table) for k in range(comb(n, d))]
+            rows = _binomials(n, d)
+            assert rows == [[comb(m, j) for m in range(n)] for j in range(d, 0, -1)]
+            last = comb(n, d) - 1
+            got = [_unrank_subset(last - k, n, rows) for k in range(comb(n, d))]
             assert got == list(combinations(range(1, n + 1), d)), (n, d)
 
 
@@ -118,6 +119,80 @@ def test_random_pure_complex_is_canonical_at_benchmark_sizes(monkeypatch):
             assert cx.facet_count == r
             assert all(all(a < b for a, b in zip(f, f[1:])) for f in cx.facets)
             assert all(f < g for f, g in zip(cx.facets, cx.facets[1:]))
+
+
+def test_random_corpus_draws_what_random_pure_complex_draws(monkeypatch):
+    """A random corpus sets its draw up once and then draws every trial from
+    it; each trial must still be ``random_pure_complex`` at its own seed,
+    under its own name, on every benchmark ladder row at that workload's
+    trial count."""
+    from ridgeline.harness import _iter_corpus
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    for w in WORKLOADS.values():
+        for n, d, r in w.ladder:
+            for seed in (0, 1, 11, 2 ** 32 - 1):
+                got = list(_iter_corpus(("random", n, d, r, w.trials), seed))
+                subs = [seed * 1_000_003 + k for k in range(w.trials)]
+                assert got == [(f"random-{n}-{d}-{r}-seed{s}", rl.random_pure_complex(n, d, r, s))
+                               for s in subs], (w.name, n, d, r, seed)
+
+
+# one bad n, d, r or seed each, with the message every entry point gives
+_BAD_DRAWS = [
+    ((3, 0, 1, 1), "need 1 <= d <= n"),
+    ((3, 5, 1, 1), "need 1 <= d <= n"),
+    ((4, 3, 5, 1), "need 1 <= r <= C(4,3) = 4"),
+    ((6, 3, 0, 1), "need 1 <= r <= C(6,3) = 20"),
+    ((6, 3, -2, 1), "need 1 <= r <= C(6,3) = 20"),
+    ((10 ** 7, 1, 1, 1),
+     "the (d + 1) * n binomial table of a random draw would hold more than 2**20 cells"),
+    ((200, 100, 3, 1), "C(200,100) d-subsets are too many to index"),
+    ((8.0, 3, 5, 1), "n must be an integer"),
+    ((8, True, 5, 1), "d must be an integer"),
+    ((8, 3, "5", 1), "r must be an integer"),
+    ((8, 3, 5, 1.5), "seed must be an integer"),
+    ((8, 3, 5, None), "seed must be an integer"),
+]
+
+
+@pytest.mark.parametrize("args, message", _BAD_DRAWS)
+def test_bad_draw_parameters_refuse_alike(tmp_path, capsys, args, message):
+    """``random_pure_complex``, ``verify`` and ``ridgeline generate`` refuse
+    a bad draw with the same typed error and message. The CLI parses its
+    numbers as ints, so only the int cases reach ``generate``."""
+    from ridgeline.cli import main
+
+    n, d, r, seed = args
+    with pytest.raises(rl.BadParameters) as direct:
+        rl.random_pure_complex(n, d, r, seed)
+    with pytest.raises(rl.BadParameters) as verified:
+        rl.verify("edge-count", ("random", n, d, r, 2), seed=seed)
+    assert str(direct.value) == str(verified.value) == message
+    if all(type(v) is int for v in args):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--n", str(n), "--d", str(d), "--r", str(r), "--count", "2",
+                     "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_zero_trial_corpus_refuses_no_draw(tmp_path, capsys):
+    """A corpus of no trials draws nothing, so even an (n, d, r) no draw
+    could serve is not refused: ``verify`` reports no instance and
+    ``generate --count 0`` makes an empty directory."""
+    from ridgeline.cli import main
+
+    for n, d, r in ((3, 5, 1), (4, 3, 5), (6, 3, 0), (10 ** 7, 1, 1)):
+        rep = rl.verify("edge-count", ("random", n, d, r, 0), stable_time=True)
+        assert (rep.instances, rep.trials, rep.counterexamples, rep.skips) == (0, 0, (), ())
+        out = tmp_path / f"corpus-{n}-{d}-{r}"
+        assert main(["generate", "--n", str(n), "--d", str(d), "--r", str(r), "--count", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.is_dir() and not list(out.iterdir())
 
 
 def test_random_pure_complex_huge_pool():

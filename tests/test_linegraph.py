@@ -394,6 +394,17 @@ def test_betti2_ev_d2_and_analyze_build_one_ridge_adjacency(monkeypatch, run):
         assert calls == [cx]
 
 
+def test_deltac_is_an_identity_on_pure_input():
+    """|C_i & C_j| = n - 2d + |F_i & F_j| for complement faces, so deltac
+    confirms every pure instance it evaluates: none of the 6195 complexes
+    of (6, 3, <=4) is a counterexample, and the 20 one-facet complexes on
+    their own three vertices are skipped as degenerate complements."""
+    rep = rl.verify("deltac", ("exhaustive", 6, 3, 4), stable_time=True)
+    assert (rep.instances, rep.trials, rep.confirmations) == (6195, 6175, 6175)
+    assert rep.counterexamples == ()
+    assert len(rep.skips) == 20
+
+
 def test_deltac_reports_first_disagreeing_pair(monkeypatch):
     """The two sides of deltac always agree on real input, so flip pairs of
     the complement's rows and compare the reported pair with the first
